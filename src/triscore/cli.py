@@ -12,23 +12,26 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .colors import PaletteParams
 from .datasets import (
     Dataset,
     ForecastRecord,
+    json_floats,
     pairs_from_dataset,
     parse_csv,
     parse_json,
     resolve_observation,
+    resolve_records,
     resolve_ternary,
     write_json,
 )
-from .errors import DomainError, EmptyDataset, SchemaError, TriscoreError
+from .errors import DomainError, EmptyDataset, InvalidDecomposition, SchemaError
 from .recalibration import QuadraticMap, apply_map, fit_map, recalibration_report
 from .scoring import ScoringRule, brier_rule, rps_rule, score
 from .simplex import make_ternary
 from .svg import RenderConfig, render_forecast_map, render_palette_legend, render_reliability_diagram
-from .verification import bin_forecasts, decompose
+from .verification import BinnedStats, Decomposition, ForecastObsPair, bin_forecasts, decompose
 
 EXIT_SCHEMA = 2
 EXIT_DOMAIN = 3
@@ -64,6 +67,14 @@ def _read_dataset(path: str) -> Dataset:
     return parse_csv(data)
 
 
+def _read_pairs(path: str) -> list[ForecastObsPair]:
+    """The observed pairs of a dataset file; EmptyDataset if there are none."""
+    pairs = pairs_from_dataset(_read_dataset(path))
+    if not pairs:
+        raise EmptyDataset("no records carry observations")
+    return pairs
+
+
 def _write_bytes(path: str | None, data: bytes) -> None:
     if path is None or path == "-":
         sys.stdout.buffer.write(data)
@@ -92,9 +103,9 @@ def _palette_from(m: float, theta0: float, anchors: str | None) -> PaletteParams
     return PaletteParams(m=m, theta0=theta0, hue_anchors=table)
 
 
-def _decomposition_summary(decomp, n_pairs: int, n_bins: int) -> dict:
+def _decomposition_summary(decomp: Decomposition, binned: BinnedStats) -> dict:
     if decomp.identity_gap() > _IDENTITY_GUARD:
-        raise EmptyDataset(
+        raise InvalidDecomposition(
             f"decomposition identity violated by {decomp.identity_gap():.3e}"
         )
     return {
@@ -107,8 +118,8 @@ def _decomposition_summary(decomp, n_pairs: int, n_bins: int) -> dict:
         "sqrtZ": decomp.sqrt_Z,
         "sqrtR": decomp.sqrt_R,
         "q_bar": list(decomp.q_bar.as_tuple()),
-        "n_pairs": n_pairs,
-        "n_bins": n_bins,
+        "n_pairs": binned.n_pairs,
+        "n_bins": len(binned.bins),
     }
 
 
@@ -131,7 +142,7 @@ _anchors_opt = click.option("--anchors", default=None,
 
 
 @click.group()
-@click.version_option(package_name="triscore")
+@click.version_option(version=__version__)
 def main():
     """Verification, colouring and recalibration of ternary forecasts."""
 
@@ -154,21 +165,21 @@ def project(input_path, output_path, map_path, clip):
     def body():
         dataset = _read_dataset(input_path)
         mapping = _load_map(map_path) if map_path else None
-        records = []
         n_off = 0
-        for i, rec in enumerate(dataset.records):
-            try:
-                p = resolve_ternary(rec, dataset.q)
-                obs = resolve_observation(rec, dataset.q)
-                if mapping is not None:
-                    res = apply_map(mapping, p, clip=clip)
-                    if not res.on_simplex:
-                        n_off += 1
-                    # unclipped off-simplex values fail here as a domain error
-                    p = make_ternary(res.pB, res.pN, res.pA)
-            except TriscoreError as e:
-                raise type(e)(f"records[{i}]: {e}") from None
-            records.append(ForecastRecord(lat=rec.lat, lon=rec.lon, ternary=p, obs=obs))
+
+        def resolve(rec, q):
+            nonlocal n_off
+            p = resolve_ternary(rec, q)
+            obs = resolve_observation(rec, q)
+            if mapping is not None:
+                res = apply_map(mapping, p, clip=clip)
+                if not res.on_simplex:
+                    n_off += 1
+                # unclipped off-simplex values fail here as a domain error
+                p = make_ternary(res.pB, res.pN, res.pA)
+            return ForecastRecord(lat=rec.lat, lon=rec.lon, ternary=p, obs=obs)
+
+        records = resolve_records(dataset, resolve)
         out = Dataset(records=tuple(records), q=dataset.q, metadata=dataset.metadata)
         _write_bytes(output_path, write_json(out))
         if output_path not in (None, "-"):
@@ -189,11 +200,8 @@ def score_cmd(input_path, output_path, score_rule):
     """Mean quadratic score of the observed records."""
 
     def body():
-        dataset = _read_dataset(input_path)
+        pairs = _read_pairs(input_path)
         rule = _rule_by_name(score_rule)
-        pairs = pairs_from_dataset(dataset)
-        if not pairs:
-            raise EmptyDataset("no records carry observations")
         mean = sum(score(rule, p.forecast, p.obs.to_ternary()) for p in pairs) / len(pairs)
         _emit_summary({"rule": score_rule, "mean_score": mean, "n_pairs": len(pairs)},
                       output_path)
@@ -210,14 +218,11 @@ def verify(input_path, output_path, score_rule, nbins):
     """Bin forecasts and write the score decomposition S = U - Z + R."""
 
     def body():
-        dataset = _read_dataset(input_path)
+        pairs = _read_pairs(input_path)
         rule = _rule_by_name(score_rule)
-        pairs = pairs_from_dataset(dataset)
-        if not pairs:
-            raise EmptyDataset("no records carry observations")
         binned = bin_forecasts(pairs, nbins)
         decomp = decompose(rule, binned)
-        summary = _decomposition_summary(decomp, binned.n_pairs, len(binned.bins))
+        summary = _decomposition_summary(decomp, binned)
         summary["rule"] = score_rule
         summary["nbins"] = nbins
         _emit_summary(summary, output_path)
@@ -228,12 +233,12 @@ def verify(input_path, output_path, score_rule, nbins):
 def _load_map(path: str) -> QuadraticMap:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also a file that is not UTF-8
         raise SchemaError(f"invalid coefficients file: {e}") from None
     coeffs = doc.get("coefficients") if isinstance(doc, dict) else doc
     if not (isinstance(coeffs, list) and len(coeffs) == 12):
         raise SchemaError("coefficients must be a JSON array of 12 numbers")
-    return QuadraticMap(tuple(float(c) for c in coeffs))
+    return QuadraticMap(json_floats(coeffs, "coefficients"))
 
 
 @main.command()
@@ -249,11 +254,8 @@ def calibrate(input_path, output_path, score_rule, nbins, holdout):
     def body():
         if not 0.0 <= holdout < 1.0:
             raise EmptyDataset(f"holdout fraction {holdout} outside [0, 1)")
-        dataset = _read_dataset(input_path)
+        pairs = _read_pairs(input_path)
         rule = _rule_by_name(score_rule)
-        pairs = pairs_from_dataset(dataset)
-        if not pairs:
-            raise EmptyDataset("no records carry observations")
         n_train = len(pairs) - int(round(holdout * len(pairs)))
         train = pairs[:n_train]
         evaluate = pairs[n_train:] if holdout > 0.0 else pairs
@@ -273,12 +275,8 @@ def calibrate(input_path, output_path, score_rule, nbins, holdout):
             "mean_score_before": report.mean_score_before,
             "mean_score_after": report.mean_score_after,
             "n_off_simplex": report.n_off_simplex,
-            "before": _decomposition_summary(
-                report.before, report.binned_before.n_pairs, len(report.binned_before.bins)
-            ),
-            "after": _decomposition_summary(
-                report.after, report.binned_after.n_pairs, len(report.binned_after.bins)
-            ),
+            "before": _decomposition_summary(report.before, report.binned_before),
+            "after": _decomposition_summary(report.after, report.binned_after),
         }
         _emit_summary(summary, output_path)
 
@@ -346,11 +344,8 @@ def render_reliability(input_path, output_path, score_rule, nbins, threshold, wi
     """Render the ternary reliability diagram as SVG."""
 
     def body():
-        dataset = _read_dataset(input_path)
+        pairs = _read_pairs(input_path)
         rule = _rule_by_name(score_rule)
-        pairs = pairs_from_dataset(dataset)
-        if not pairs:
-            raise EmptyDataset("no records carry observations")
         binned = bin_forecasts(pairs, nbins)
         decomp = decompose(rule, binned)
         config = RenderConfig(width_px=width, height_px=height,

@@ -42,6 +42,20 @@ _TERNARY_FIELDS = ("pB", "pN", "pA")
 _GAUSSIAN_FIELDS = ("mu", "sigma", "mu_c", "sigma_c")
 
 
+def _check_representation(ternary, gaussian, members) -> None:
+    """Exactly one of the three forecast representations must be present."""
+    if (ternary is not None) + (gaussian is not None) + (members is not None) == 1:
+        return
+    present = [
+        name
+        for name, val in (("ternary", ternary), ("gaussian", gaussian), ("members", members))
+        if val is not None
+    ]
+    if present:
+        raise MixedRepresentation(f"record mixes {' and '.join(present)} forecasts")
+    raise SchemaError("record carries no forecast representation")
+
+
 @dataclass(frozen=True)
 class ForecastRecord:
     """One located forecast with optional observation and climatology."""
@@ -56,19 +70,7 @@ class ForecastRecord:
     series: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        present = [
-            name
-            for name, val in (
-                ("ternary", self.ternary),
-                ("gaussian", self.gaussian),
-                ("members", self.members),
-            )
-            if val is not None
-        ]
-        if len(present) > 1:
-            raise MixedRepresentation(f"record mixes {' and '.join(present)} forecasts")
-        if not present:
-            raise SchemaError("record carries no forecast representation")
+        _check_representation(self.ternary, self.gaussian, self.members)
         if not (-90.0 <= self.lat <= 90.0):
             raise SchemaError(f"lat = {self.lat} outside [-90, 90]")
         if not (-180.0 <= self.lon <= 180.0):
@@ -120,34 +122,106 @@ def resolve_observation(record: ForecastRecord, q: TernaryProb) -> ObsCategory |
     return _record_thresholds(record, q).categorise(record.obs_value)
 
 
+def resolve_records(dataset: Dataset, resolve) -> list:
+    """``resolve(record, dataset.q)`` for every record, in order.
+
+    An error raised for a record is re-raised with the same type,
+    prefixed with the record's location ``records[i]``.
+    """
+    out = []
+    try:
+        for i, rec in enumerate(dataset.records):
+            out.append(resolve(rec, dataset.q))
+    except TriscoreError as e:
+        raise type(e)(f"records[{i}]: {e}") from None
+    return out
+
+
+def _observed_pair(record: ForecastRecord, q: TernaryProb) -> ForecastObsPair | None:
+    # the forecast of an unobserved record is never resolved
+    obs = resolve_observation(record, q)
+    return None if obs is None else ForecastObsPair(resolve_ternary(record, q), obs)
+
+
 def pairs_from_dataset(dataset: Dataset) -> list[ForecastObsPair]:
     """Forecast-observation pairs of all observed records, in order."""
-    pairs = []
-    for i, rec in enumerate(dataset.records):
-        try:
-            obs = resolve_observation(rec, dataset.q)
-            if obs is not None:
-                pairs.append(ForecastObsPair(resolve_ternary(rec, dataset.q), obs))
-        except TriscoreError as e:
-            raise type(e)(f"records[{i}]: {e}") from None
-    return pairs
+    return [p for p in resolve_records(dataset, _observed_pair) if p is not None]
 
 
-def _parse_float(text: str, where: str, what: str) -> float:
+def _build_record(
+    where: str,
+    lat: float | None,
+    lon: float | None,
+    ternary: list[float | None],
+    gaussian: list[float | None],
+    members: tuple[float, ...] | None = None,
+    obs: ObsCategory | None = None,
+    obs_value: float | None = None,
+    series: tuple[float, ...] | None = None,
+) -> ForecastRecord:
+    """Validate one parsed CSV row or JSON record and build it.
+
+    Each field is a finite float, or None if absent; ``ternary`` and
+    ``gaussian`` hold one per field of their family.  Errors are located
+    at ``where``.
+    """
+    try:
+        if lat is None or lon is None:
+            raise SchemaError("record needs lat and lon")
+        if ternary.count(None) == len(ternary):
+            ternary = None
+        if gaussian.count(None) == len(gaussian):
+            gaussian = None
+        _check_representation(ternary, gaussian, members)
+        if ternary is not None:
+            if None in ternary:
+                raise SchemaError("pB, pN, pA must all be present")
+            ternary = make_ternary(*ternary)
+        elif gaussian is not None:
+            if None in gaussian:
+                raise SchemaError("mu, sigma, mu_c, sigma_c must all be present")
+            if gaussian[1] <= 0.0 or gaussian[3] <= 0.0:
+                raise SchemaError("sigma and sigma_c must be positive")
+            gaussian = tuple(gaussian)
+        if obs is not None and obs_value is not None:
+            raise SchemaError("record supplies both obs and obs_value")
+        return ForecastRecord(lat, lon, ternary, gaussian, members, obs, obs_value, series)
+    except TriscoreError as e:
+        cls = type(e) if isinstance(e, SchemaError) else SchemaError
+        raise cls(str(e), where) from None
+
+
+def _parse_obs_label(value, where: str) -> ObsCategory | None:
+    """An observed category label (B/N/A, any case); None if absent."""
+    if value is None:
+        return None
+    if not isinstance(value, str):
+        raise SchemaError("obs must be a string label", where)
+    label = value.strip().upper()
+    if label not in ("B", "N", "A"):
+        raise SchemaError(f"obs must be one of B/N/A, got {value!r}", where)
+    return ObsCategory(label)
+
+
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"input is not UTF-8: {e}") from None
+
+
+def _csv_float(cells: dict[str, str], name: str, where: str) -> float | None:
+    """The named cell as a finite float; None if it is empty or absent."""
+    text = cells.get(name)
+    if not text:
+        return None
     try:
         value = float(text)
     except ValueError:
-        raise SchemaError(f"{what} is not a number: {text!r}", where) from None
+        raise SchemaError(f"{name} is not a number: {text!r}", where) from None
     if not math.isfinite(value):
-        raise SchemaError(f"{what} is not finite: {text!r}", where)
+        raise SchemaError(f"{name} is not finite: {text!r}", where)
     return value
-
-
-def _parse_obs_label(text: str, where: str) -> ObsCategory:
-    label = text.strip().upper()
-    if label not in ("B", "N", "A"):
-        raise SchemaError(f"obs must be one of B/N/A, got {text!r}", where)
-    return ObsCategory(label)
 
 
 def parse_csv(data: bytes) -> Dataset:
@@ -156,11 +230,7 @@ def parse_csv(data: bytes) -> Dataset:
     The header must name lat, lon and one forecast family (pB/pN/pA or
     mu/sigma/mu_c/sigma_c); obs and obs_value columns are optional.
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise SchemaError(f"input is not UTF-8: {e}") from None
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(_decode(data)))
     try:
         header = next(reader)
     except StopIteration:
@@ -173,13 +243,11 @@ def parse_csv(data: bytes) -> Dataset:
     for col in ("lat", "lon"):
         if col not in header:
             raise SchemaError(f"missing required column {col!r}", "row 1")
-    has_ternary = all(c in header for c in _TERNARY_FIELDS)
-    has_gaussian = all(c in header for c in _GAUSSIAN_FIELDS)
-    if not has_ternary and not has_gaussian:
+    families = (_TERNARY_FIELDS, _GAUSSIAN_FIELDS)
+    if not any(all(c in header for c in family) for family in families):
         raise SchemaError(
             "header must include pB,pN,pA or mu,sigma,mu_c,sigma_c", "row 1"
         )
-    idx = {col: header.index(col) for col in header}
 
     records = []
     for rownum, row in enumerate(reader, start=2):
@@ -190,71 +258,66 @@ def parse_csv(data: bytes) -> Dataset:
             raise SchemaError(
                 f"expected {len(header)} fields, got {len(row)}", where
             )
-
-        def cell(col: str) -> str:
-            return row[idx[col]].strip() if col in idx else ""
-
-        lat = _parse_float(cell("lat"), where, "lat")
-        lon = _parse_float(cell("lon"), where, "lon")
-        ternary_cells = [cell(c) for c in _TERNARY_FIELDS] if has_ternary else []
-        gaussian_cells = [cell(c) for c in _GAUSSIAN_FIELDS] if has_gaussian else []
-        row_ternary = any(ternary_cells)
-        row_gaussian = any(gaussian_cells)
-        if row_ternary and row_gaussian:
-            raise MixedRepresentation(
-                "row supplies both ternary and Gaussian fields", where
-            )
-        ternary = gaussian = None
-        if row_ternary:
-            vals = [
-                _parse_float(c, where, name)
-                for name, c in zip(_TERNARY_FIELDS, ternary_cells)
-            ]
-            try:
-                ternary = make_ternary(*vals)
-            except TriscoreError as e:
-                raise SchemaError(str(e), where) from None
-        elif row_gaussian:
-            vals = [
-                _parse_float(c, where, name)
-                for name, c in zip(_GAUSSIAN_FIELDS, gaussian_cells)
-            ]
-            if vals[1] <= 0.0 or vals[3] <= 0.0:
-                raise SchemaError("sigma and sigma_c must be positive", where)
-            gaussian = tuple(vals)
-        else:
-            raise SchemaError("row carries no forecast values", where)
-
-        obs = obs_value = None
-        if cell("obs"):
-            obs = _parse_obs_label(cell("obs"), where)
-        if cell("obs_value"):
-            if obs is not None:
-                raise SchemaError("row supplies both obs and obs_value", where)
-            obs_value = _parse_float(cell("obs_value"), where, "obs_value")
-        try:
-            records.append(
-                ForecastRecord(
-                    lat=lat, lon=lon, ternary=ternary, gaussian=gaussian,
-                    obs=obs, obs_value=obs_value,
-                )
-            )
-        except SchemaError as e:
-            raise SchemaError(str(e), where) from None
+        cells = dict(zip(header, map(str.strip, row)))
+        records.append(_build_record(
+            where,
+            _csv_float(cells, "lat", where),
+            _csv_float(cells, "lon", where),
+            [_csv_float(cells, c, where) for c in _TERNARY_FIELDS],
+            [_csv_float(cells, c, where) for c in _GAUSSIAN_FIELDS],
+            obs=_parse_obs_label(cells.get("obs") or None, where),
+            obs_value=_csv_float(cells, "obs_value", where),
+        ))
     return Dataset(records=tuple(records))
+
+
+def _json_float(value) -> float | None:
+    """A decoded JSON value as a float; None unless it is a finite number."""
+    if type(value) is float:
+        return value if math.isfinite(value) else None
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            return None
+    return None
+
+
+def json_floats(values, what: str, where: str | None = None) -> tuple[float, ...]:
+    """A decoded JSON array as floats; SchemaError names the first item
+    ``what[j]`` that is not a finite number."""
+    out = tuple(map(_json_float, values))
+    if None in out:
+        raise SchemaError(f"{what}[{out.index(None)}] must be a finite number", where)
+    return out
+
+
+def _json_number(rec: dict, key: str, where: str) -> float | None:
+    value = rec.get(key)
+    if value is None:
+        return None
+    number = _json_float(value)
+    if number is None:
+        raise SchemaError(f"{key} must be a finite number", f"{where}.{key}")
+    return number
+
+
+def _json_numbers(rec: dict, key: str, where: str) -> tuple[float, ...] | None:
+    value = rec.get(key)
+    if value is None:
+        return None
+    if not isinstance(value, list) or not value:
+        raise SchemaError(f"{key} must be a non-empty array", f"{where}.{key}")
+    return json_floats(value, key, f"{where}.{key}")
 
 
 def parse_json(data: bytes) -> Dataset:
     """Parse a JSON dataset: {"q": [...], "metadata": {...}, "records": [...]}."""
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise SchemaError(f"input is not UTF-8: {e}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
+        doc = json.loads(_decode(data))
+    except ValueError as e:
         raise SchemaError(f"invalid JSON: {e}") from None
-    if not isinstance(doc, dict) or "records" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
         raise SchemaError("top level must be an object with a 'records' array")
 
     if "q" in doc:
@@ -279,76 +342,17 @@ def parse_json(data: bytes) -> Dataset:
         where = f"records[{i}]"
         if not isinstance(rec, dict):
             raise SchemaError("record must be an object", where)
-
-        def num(key: str) -> float | None:
-            if key not in rec or rec[key] is None:
-                return None
-            v = rec[key]
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise SchemaError(f"{key} must be a finite number", f"{where}.{key}")
-            return float(v)
-
-        def numlist(key: str) -> tuple[float, ...] | None:
-            if key not in rec or rec[key] is None:
-                return None
-            v = rec[key]
-            if not isinstance(v, list) or not v:
-                raise SchemaError(f"{key} must be a non-empty array", f"{where}.{key}")
-            out = []
-            for j, x in enumerate(v):
-                if not isinstance(x, (int, float)) or isinstance(x, bool) or not math.isfinite(x):
-                    raise SchemaError(f"{key}[{j}] must be a finite number", f"{where}.{key}")
-                out.append(float(x))
-            return tuple(out)
-
-        lat = num("lat")
-        lon = num("lon")
-        if lat is None or lon is None:
-            raise SchemaError("record needs lat and lon", where)
-
-        tern_vals = [num(k) for k in _TERNARY_FIELDS]
-        gauss_vals = [num(k) for k in _GAUSSIAN_FIELDS]
-        members = numlist("members")
-        has_t = any(v is not None for v in tern_vals)
-        has_g = any(v is not None for v in gauss_vals)
-        if sum([has_t, has_g, members is not None]) > 1:
-            raise MixedRepresentation(
-                "record mixes forecast representations", where
-            )
-        ternary = gaussian = None
-        if has_t:
-            if any(v is None for v in tern_vals):
-                raise SchemaError("pB, pN, pA must all be present", where)
-            try:
-                ternary = make_ternary(*tern_vals)
-            except TriscoreError as e:
-                raise SchemaError(str(e), where) from None
-        elif has_g:
-            if any(v is None for v in gauss_vals):
-                raise SchemaError("mu, sigma, mu_c, sigma_c must all be present", where)
-            if gauss_vals[1] <= 0.0 or gauss_vals[3] <= 0.0:
-                raise SchemaError("sigma and sigma_c must be positive", where)
-            gaussian = tuple(gauss_vals)
-
-        obs = None
-        if rec.get("obs") is not None:
-            if not isinstance(rec["obs"], str):
-                raise SchemaError("obs must be a string label", f"{where}.obs")
-            obs = _parse_obs_label(rec["obs"], f"{where}.obs")
-        obs_value = num("obs_value")
-        if obs is not None and obs_value is not None:
-            raise SchemaError("record supplies both obs and obs_value", where)
-
-        try:
-            records.append(
-                ForecastRecord(
-                    lat=lat, lon=lon, ternary=ternary, gaussian=gaussian,
-                    members=members, obs=obs, obs_value=obs_value,
-                    series=numlist("series"),
-                )
-            )
-        except SchemaError as e:
-            raise SchemaError(str(e), where) from None
+        records.append(_build_record(
+            where,
+            _json_number(rec, "lat", where),
+            _json_number(rec, "lon", where),
+            [_json_number(rec, k, where) for k in _TERNARY_FIELDS],
+            [_json_number(rec, k, where) for k in _GAUSSIAN_FIELDS],
+            members=_json_numbers(rec, "members", where),
+            obs=_parse_obs_label(rec.get("obs"), f"{where}.obs"),
+            obs_value=_json_number(rec, "obs_value", where),
+            series=_json_numbers(rec, "series", where),
+        ))
     return Dataset(records=tuple(records), q=q, metadata=dict(metadata))
 
 

@@ -178,12 +178,13 @@ def recalibration_report(
     binned_after = bin_forecasts(mapped_pairs, nbins)
     before = decompose(rule, binned_before)
     after = decompose(rule, binned_after)
+    design, target = _assemble(pairs, rule)
     return CalibrationReport(
         before=before,
         after=after,
         binned_before=binned_before,
         binned_after=binned_after,
-        mean_score_before=mean_score_of_map(pairs, QuadraticMap.identity(), rule),
-        mean_score_after=mean_score_of_map(pairs, mapping, rule),
+        mean_score_before=_mean_score(np.asarray(IDENTITY_COEFFS), design, target),
+        mean_score_after=_mean_score(np.asarray(mapping.coeffs), design, target),
         n_off_simplex=n_off,
     )

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .colors import PaletteParams, assign_color, hsv_to_rgb
-from .datasets import Dataset, resolve_observation, resolve_ternary
+from .datasets import Dataset, resolve_observation, resolve_records, resolve_ternary
 from .errors import MissingVerificationHistory
 from .scoring import ScoringRule, brier_rule
 from .simplex import TernaryProb, make_ternary
@@ -206,13 +206,14 @@ def render_forecast_map(
 
     skill_by_loc: dict[tuple[float, float], float | None] = {}
     if config.show_skill_circles:
+        resolved = resolve_records(
+            dataset, lambda rec, q: (resolve_observation(rec, q), resolve_ternary(rec, q))
+        )
+        triples = [p for _, p in resolved]
         by_loc: dict[tuple[float, float], list] = {}
-        for rec in records:
-            obs = resolve_observation(rec, dataset.q)
+        for rec, (obs, p) in zip(records, resolved):
             if obs is not None:
-                by_loc.setdefault((rec.lat, rec.lon), []).append(
-                    ForecastObsPair(resolve_ternary(rec, dataset.q), obs)
-                )
+                by_loc.setdefault((rec.lat, rec.lon), []).append(ForecastObsPair(p, obs))
         if not by_loc:
             raise MissingVerificationHistory(
                 "skill circles requested but no record carries an observation"
@@ -222,11 +223,12 @@ def render_forecast_map(
                 skill_by_loc[loc] = None
             else:
                 skill_by_loc[loc] = skill_radius(decompose(rule, bin_forecasts(pairs, config.nbins)))
+    else:
+        triples = resolve_records(dataset, resolve_ternary)
 
     out: list[str] = []
     half = config.cell_size_px / 2.0
-    for rec in records:
-        p = resolve_ternary(rec, dataset.q)
+    for rec, p in zip(records, triples):
         color = _fill_color(p, dataset.q, config.palette)
         x, y = project(rec.lat, rec.lon)
         if config.show_skill_circles:
@@ -282,14 +284,7 @@ def _all_lattice_points(nbins: int):
 
 
 def _sharpness_inset(out: list[str], binned: BinnedStats, box: _Box) -> None:
-    counts = {}
-    for b in binned.bins:
-        key = (
-            round(b.center.pB * binned.nbins),
-            round(b.center.pN * binned.nbins),
-            round(b.center.pA * binned.nbins),
-        )
-        counts[key] = b.count
+    counts = {b.key: b.count for b in binned.bins}
     max_count = max(counts.values()) if counts else 1
     radius = box.edge / (2.0 * binned.nbins) if binned.nbins > 0 else box.edge / 2.0
     for key in _all_lattice_points(binned.nbins):

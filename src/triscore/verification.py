@@ -21,8 +21,6 @@ from .errors import EmptyDataset, InvalidDecomposition
 from .scoring import ScoringRule
 from .simplex import ObsCategory, TernaryProb, make_ternary
 
-_IDENTITY_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class ForecastObsPair:
@@ -34,11 +32,14 @@ class ForecastObsPair:
 
 @dataclass(frozen=True)
 class Bin:
-    """All pairs whose forecasts snapped to one lattice point."""
+    """All pairs whose forecasts snapped to one lattice point: ``key``
+    in the integer counts of :func:`snap_to_lattice`, ``center`` as a
+    probability."""
 
     center: TernaryProb
     count: int
     mean_obs: TernaryProb
+    key: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ def bin_forecasts(pairs: list[ForecastObsPair], nbins: int = 11) -> BinnedStats:
         total = int(obs_counts.sum())
         center = make_ternary(key[0] / nbins, key[1] / nbins, key[2] / nbins)
         mean_obs = make_ternary(*(obs_counts / total))
-        bins.append(Bin(center, total, mean_obs))
+        bins.append(Bin(center, total, mean_obs, key))
     return BinnedStats(tuple(bins), nbins)
 
 

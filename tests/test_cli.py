@@ -4,8 +4,9 @@ import xml.etree.ElementTree as ET
 import pytest
 from click.testing import CliRunner
 
-from triscore import parse_json, write_json
-from triscore.cli import main
+from triscore import UNIFORM, BinnedStats, Decomposition, parse_json, write_json
+from triscore.cli import _decomposition_summary, main
+from triscore.errors import InvalidDecomposition
 
 from conftest import frozen_dataset
 
@@ -76,6 +77,13 @@ class TestVerify:
         assert out["n_pairs"] == 240
 
 
+class TestVersion:
+    def test_version_from_source_tree(self, runner):
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0, result.output
+        assert "0.1.0" in result.output
+
+
 class TestExitCodes:
     def test_schema_error_is_2(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -100,6 +108,11 @@ class TestExitCodes:
         result = runner.invoke(main, ["verify", "-i", str(bad)])
         assert result.exit_code == 2
         assert "row 3" in result.output
+
+    def test_identity_guard_is_invalid_decomposition(self):
+        broken = Decomposition(S=0.5 + 1e-6, U=0.6, Z=0.2, R=0.1, q_bar=UNIFORM)
+        with pytest.raises(InvalidDecomposition):
+            _decomposition_summary(broken, BinnedStats(bins=(), nbins=11))
 
 
 class TestCalibrate:
@@ -177,8 +190,45 @@ class TestProject:
             assert g.ternary.as_tuple() == pytest.approx(w.ternary.as_tuple(), abs=1e-15)
             assert g.obs is w.obs
 
+    @pytest.mark.parametrize("content, named", [
+        (b'["x", 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]', "coefficients[0]"),
+        (b"[0, 1, 0, 0, 0, NaN, 0, 0, 1, 0, 0, 0]", "coefficients[5]"),
+        (b"\xff\xfe[0]", "invalid coefficients file"),
+    ], ids=["string", "nan", "not-utf8"])
+    def test_bad_coefficients_file_is_schema_error(self, runner, dataset_json, tmp_path,
+                                                   content, named):
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_bytes(content)
+        result = runner.invoke(main, [
+            "project", "-i", dataset_json, "-o", str(tmp_path / "out.json"),
+            "--apply-map", str(coeffs),
+        ])
+        assert result.exit_code == 2, result.output
+        assert named in result.output
+
+    def test_observed_value_without_series_is_rejected(self, runner, tmp_path):
+        src = tmp_path / "ds.json"
+        src.write_text(json.dumps({"records": [
+            {"lat": 0, "lon": 0, "pB": 0.2, "pN": 0.5, "pA": 0.3, "obs_value": 1.0},
+        ]}))
+        result = runner.invoke(main, ["project", "-i", str(src), "-o",
+                                      str(tmp_path / "out.json")])
+        assert result.exit_code == 3
+        assert "records[0]" in result.output
+
 
 class TestScoreCommand:
+    def test_unobserved_ensemble_without_series_is_skipped(self, runner, tmp_path):
+        # the ensemble record cannot be resolved, but it is never needed
+        src = tmp_path / "ds.json"
+        src.write_text(json.dumps({"records": [
+            {"lat": 0, "lon": 0, "pB": 1, "pN": 0, "pA": 0, "obs": "B"},
+            {"lat": 0, "lon": 1, "members": [1.0, 2.0, 3.0]},
+        ]}))
+        out = run_json(runner, ["score", "-i", str(src)])
+        assert out["n_pairs"] == 1
+        assert out["mean_score"] == pytest.approx(0.0, abs=1e-15)
+
     def test_matches_verify_unbinned(self, runner, tmp_path):
         # forecasts on the lattice: binning is a no-op, so the raw mean
         # score equals the decomposition's S
@@ -205,6 +255,18 @@ class TestRenderCommands:
         runner.invoke(main, ["render-map", "-i", dataset_csv, "-o", str(out_path),
                              "--show-skill-circles"])
         assert out_path.read_bytes() == first
+
+    def test_render_map_without_circles_ignores_observations(self, runner, tmp_path):
+        # an observed value with no climatology cannot be categorised,
+        # but a map without skill circles never needs the observation
+        src = tmp_path / "ds.json"
+        src.write_text(json.dumps({"records": [
+            {"lat": 0, "lon": 0, "pB": 0.2, "pN": 0.5, "pA": 0.3, "obs_value": 1.0},
+        ]}))
+        out_path = tmp_path / "map.svg"
+        result = runner.invoke(main, ["render-map", "-i", str(src), "-o", str(out_path)])
+        assert result.exit_code == 0, result.output
+        assert out_path.read_bytes().count(b"<rect ") == 1
 
     def test_render_map_with_overlay(self, runner, dataset_csv, tmp_path):
         overlay = tmp_path / "coast.json"

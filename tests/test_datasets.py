@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triscore import (
     Dataset,
@@ -260,3 +262,90 @@ class TestRecordValidation:
     def test_two_forecasts_rejected(self):
         with pytest.raises(MixedRepresentation):
             ForecastRecord(lat=0, lon=0, ternary=UNIFORM, members=(1.0,))
+
+
+_ALL_COLUMNS = ("lat", "lon", "pB", "pN", "pA", "mu", "sigma", "mu_c", "sigma_c",
+                "obs", "obs_value")
+
+
+def _as_csv(*rows: dict) -> bytes:
+    """One CSV document with every column; absent fields are empty cells."""
+    lines = [",".join(_ALL_COLUMNS)]
+    for row in rows:
+        lines.append(",".join(
+            "" if row.get(c) is None else str(row[c]) if c == "obs" else repr(row[c])
+            for c in _ALL_COLUMNS
+        ))
+    return csv_bytes(*lines)
+
+
+def _as_json(*rows: dict) -> bytes:
+    return json.dumps({"records": list(rows)}).encode()
+
+
+_coord = st.floats(-90.0, 90.0, allow_nan=False)
+_weight = st.floats(1e-3, 1.0, allow_nan=False)
+_mean = st.floats(-1e3, 1e3, allow_nan=False)
+_spread = st.floats(1e-3, 1e3, allow_nan=False)
+
+
+@st.composite
+def _rows(draw) -> dict:
+    row = {"lat": draw(_coord), "lon": draw(_coord)}
+    if draw(st.booleans()):
+        w = [draw(_weight) for _ in range(3)]
+        row.update(zip(("pB", "pN", "pA"), (x / sum(w) for x in w)))
+    else:
+        row.update(mu=draw(_mean), sigma=draw(_spread), mu_c=draw(_mean),
+                   sigma_c=draw(_spread))
+    observed = draw(st.sampled_from(("none", "obs", "obs_value")))
+    if observed == "obs":
+        row["obs"] = draw(st.sampled_from("BNAbna"))
+    elif observed == "obs_value":
+        row["obs_value"] = draw(_mean)
+    return row
+
+
+class TestParserParity:
+    """parse_csv and parse_json share one record validator."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_rows(), min_size=1, max_size=5))
+    def test_same_records(self, rows):
+        assert parse_csv(_as_csv(*rows)).records == parse_json(_as_json(*rows)).records
+
+    @pytest.mark.parametrize("row, error", [
+        ({"lat": 0, "lon": 0, "pB": 0.5, "pN": 0.5}, SchemaError),
+        ({"lat": 0, "lon": 0, "mu": 7, "sigma": 0, "mu_c": 5, "sigma_c": 2}, SchemaError),
+        ({"lat": 0, "lon": 0, "pB": 1, "pN": 0, "pA": 0, "obs": "B", "obs_value": 3.2},
+         SchemaError),
+        ({"lat": 95, "lon": 0, "pB": 1, "pN": 0, "pA": 0}, SchemaError),
+        ({"lat": 0, "lon": 0, "pB": 0.2, "pN": 0.5, "pA": 0.3,
+          "mu": 7, "sigma": 2, "mu_c": 5, "sigma_c": 2}, MixedRepresentation),
+    ], ids=["partial-triple", "sigma-zero", "obs-and-obs-value", "lat-range", "mixed"])
+    def test_same_error(self, row, error):
+        good = {"lat": 0, "lon": 0, "pB": 1, "pN": 0, "pA": 0}
+        with pytest.raises(SchemaError) as from_csv:
+            parse_csv(_as_csv(good, row))
+        with pytest.raises(SchemaError) as from_json:
+            parse_json(_as_json(good, row))
+        assert type(from_csv.value) is type(from_json.value) is error
+        csv_msg, json_msg = str(from_csv.value), str(from_json.value)
+        assert csv_msg.startswith("row 3: ")
+        assert json_msg.startswith("records[1]: ")
+        assert csv_msg.removeprefix("row 3: ") == json_msg.removeprefix("records[1]: ")
+
+
+class TestJsonInputRejected:
+    @pytest.mark.parametrize("data, where", [
+        (b'{"records": 5}', "records"),
+        (b'{"records": [{"lat": 1' + b"0" * 400 + b', "lon": 0, "pB": 1, "pN": 0, "pA": 0}]}',
+         "records[0].lat"),
+        (b'{"records": [{"lat": 1' + b"0" * 5000 + b', "lon": 0, "pB": 1, "pN": 0, "pA": 0}]}',
+         "invalid JSON"),
+        (b'{"records": [{"lat": 0, "lon": 0, "members": [1, NaN]}]}', "members[1]"),
+    ], ids=["records-not-array", "huge-integer", "integer-too-long", "nan-member"])
+    def test_schema_error(self, data, where):
+        with pytest.raises(SchemaError) as err:
+            parse_json(data)
+        assert where in str(err.value)

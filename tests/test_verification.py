@@ -85,6 +85,15 @@ class TestBinning:
         binned = bin_forecasts(pairs, 11)
         assert binned.n_pairs == 137
 
+    def test_key_is_the_snapped_lattice_point(self, rng):
+        pairs = categorical_pairs(rng, 200)
+        binned = bin_forecasts(pairs, 7)
+        assert {b.key for b in binned.bins} == {
+            snap_to_lattice(p.forecast, 7) for p in pairs
+        }
+        for b in binned.bins:
+            assert b.center == make_ternary(*(k / 7 for k in b.key))
+
     def test_rejects_empty(self):
         with pytest.raises(EmptyDataset):
             bin_forecasts([], 11)
