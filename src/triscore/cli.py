@@ -2,8 +2,8 @@
 
 Subcommands wire ingestion, verification, recalibration and rendering
 together and always emit a machine-readable JSON summary on stdout.
-Exit codes: 0 on success, 2 on malformed input (schema errors), 3 on
-mathematically invalid values (domain errors).
+Exit codes: 0 on success, 2 on malformed input or a path that cannot be
+read or written, 3 on mathematically invalid values (domain errors).
 """
 
 import json
@@ -52,7 +52,7 @@ def _guard(fn):
         _fail(EXIT_SCHEMA, e)
     except DomainError as e:
         _fail(EXIT_DOMAIN, e)
-    except FileNotFoundError as e:
+    except OSError as e:
         _fail(EXIT_SCHEMA, e)
 
 
@@ -176,7 +176,7 @@ def project(input_path, output_path, map_path, clip):
                 if not res.on_simplex:
                     n_off += 1
                 # unclipped off-simplex values fail here as a domain error
-                p = make_ternary(res.pB, res.pN, res.pA)
+                p = res.to_ternary()
             return ForecastRecord(lat=rec.lat, lon=rec.lon, ternary=p, obs=obs)
 
         records = resolve_records(dataset, resolve)

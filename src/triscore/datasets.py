@@ -324,9 +324,10 @@ def parse_json(data: bytes) -> Dataset:
         qv = doc["q"]
         if not (isinstance(qv, list) and len(qv) == 3):
             raise SchemaError("q must be a 3-element array", "q")
+        q_values = json_floats(qv, "q", "q")
         try:
-            q = make_ternary(*(float(x) for x in qv))
-        except (TriscoreError, TypeError, ValueError) as e:
+            q = make_ternary(*q_values)
+        except TriscoreError as e:
             raise SchemaError(f"invalid climatology q: {e}", "q") from None
     else:
         q = UNIFORM

@@ -20,16 +20,15 @@ import numpy as np
 
 from .errors import EmptyDataset
 from .scoring import AffineTernary, ScoringRule
-from .simplex import TernaryProb, make_ternary
+from .simplex import NEGATIVE_TOLERANCE, TernaryProb
 from .verification import (
     BinnedStats,
     Decomposition,
     ForecastObsPair,
+    _pair_arrays,
     bin_forecasts,
     decompose,
 )
-
-_ON_SIMPLEX_TOL = 1e-12
 
 IDENTITY_COEFFS = (0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
 
@@ -51,9 +50,9 @@ class QuadraticMap:
         return cls(IDENTITY_COEFFS)
 
 
-def _features(p: TernaryProb) -> np.ndarray:
-    pB, pA = p.pB, p.pA
-    return np.array([1.0, pB, pA, pB * pB, pB * pA, pA * pA])
+def _features(pB, pA) -> list:
+    """The six terms of the map, for floats or for arrays of forecasts."""
+    return [1.0, pB, pA, pB * pB, pB * pA, pA * pA]
 
 
 def apply_map(mapping: QuadraticMap, p: TernaryProb, clip: bool = False) -> AffineTernary:
@@ -63,12 +62,12 @@ def apply_map(mapping: QuadraticMap, p: TernaryProb, clip: bool = False) -> Affi
     ``clip`` the result is Euclidean-projected onto the simplex first
     (the flag still reports where the unclipped value landed).
     """
-    f = _features(p)
+    f = np.array(_features(p.pB, p.pA))
     c = np.asarray(mapping.coeffs)
     tB = float(f @ c[:6])
     tA = float(f @ c[6:])
     tN = 1.0 - tB - tA
-    on_simplex = tB >= -_ON_SIMPLEX_TOL and tN >= -_ON_SIMPLEX_TOL and tA >= -_ON_SIMPLEX_TOL
+    on_simplex = tB >= NEGATIVE_TOLERANCE and tN >= NEGATIVE_TOLERANCE and tA >= NEGATIVE_TOLERANCE
     if clip and not on_simplex:
         tB, tN, tA = project_to_simplex(np.array([tB, tN, tA]))
     return AffineTernary(tB, tN, tA, on_simplex)
@@ -89,26 +88,23 @@ def project_to_simplex(v: np.ndarray) -> tuple[float, float, float]:
 
 def _mean_score(coeffs: np.ndarray, design: np.ndarray, target: np.ndarray) -> float:
     resid = design @ coeffs - target
-    return float(resid @ resid) / (design.shape[0] // 3)
+    return float(resid @ resid) / (design.shape[0] // 2)
+
+
+# the map's output at zero coefficients, and how (tB, tA) move it
+_BASE = np.array([0.0, 1.0, 0.0])
+_J = np.array([[1.0, 0.0], [-1.0, -1.0], [0.0, 1.0]])
 
 
 def _assemble(pairs: list[ForecastObsPair], rule: ScoringRule) -> tuple[np.ndarray, np.ndarray]:
-    """Stack the 3N x 12 linear system whose residual is L(p~ - o)."""
-    L = rule.L
-    n = len(pairs)
-    design = np.zeros((3 * n, 12))
-    target = np.zeros(3 * n)
-    base = np.array([0.0, 1.0, 0.0])  # the map's output at zero coefficients
-    for i, pair in enumerate(pairs):
-        f = _features(pair.forecast)
-        W = np.zeros((3, 12))
-        W[0, :6] = f
-        W[1, :6] = -f
-        W[1, 6:] = -f
-        W[2, 6:] = f
-        design[3 * i : 3 * i + 3] = L @ W
-        target[3 * i : 3 * i + 3] = L @ (pair.obs.to_ternary().as_array() - base)
-    return design, target
+    """Stack the 2N x 12 linear system whose residual is Mhat(p~ - o); p~ - o
+    sums to zero, so the residual's squared length is its score."""
+    F, obs = _pair_arrays(pairs)
+    features = np.column_stack(np.broadcast_arrays(*_features(F[:, 0], F[:, 2])))
+    MJ = rule.Mhat @ _J
+    design = (MJ[None, :, :, None] * features[:, None, None, :]).reshape(2 * len(pairs), 12)
+    target = (np.eye(3)[obs] - _BASE) @ rule.Mhat.T
+    return design, target.ravel()
 
 
 def fit_map(pairs: list[ForecastObsPair], rule: ScoringRule) -> QuadraticMap:
@@ -173,7 +169,7 @@ def recalibration_report(
         res = apply_map(mapping, pair.forecast, clip=True)
         if not res.on_simplex:
             n_off += 1
-        mapped_pairs.append(ForecastObsPair(make_ternary(res.pB, res.pN, res.pA), pair.obs))
+        mapped_pairs.append(ForecastObsPair(res.to_ternary(), pair.obs))
     binned_before = bin_forecasts(pairs, nbins)
     binned_after = bin_forecasts(mapped_pairs, nbins)
     before = decompose(rule, binned_before)

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTriangle, NotPositiveDefinite
-from .simplex import TernaryProb
+from .simplex import NEGATIVE_TOLERANCE, TernaryProb, make_ternary
 
 _EIGEN_FLOOR = 1e-12
 _SIN_FLOOR = 1e-12
-_SIMPLEX_FLAG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,8 @@ class AffineTernary:
     """A 3-vector summing to one that may lie off the simplex.
 
     Produced by inverse maps that can land outside the triangle; the
-    ``on_simplex`` flag records whether all components are admissible
-    probabilities (within a small tolerance for round-off).
+    ``on_simplex`` flag records whether no component is below
+    ``NEGATIVE_TOLERANCE``, which is when :meth:`to_ternary` accepts it.
     """
 
     pB: float
@@ -52,8 +51,6 @@ class AffineTernary:
         return np.array([self.pB, self.pN, self.pA])
 
     def to_ternary(self) -> TernaryProb:
-        from .simplex import make_ternary
-
         return make_ternary(self.pB, self.pN, self.pA)
 
 
@@ -192,7 +189,7 @@ def from_bary(rule: ScoringRule, P: BaryPoint) -> AffineTernary:
     """
     vec = rule.Minv @ P.as_array()
     vec[0] += 1.0  # + corner B
-    on_simplex = bool(np.all(vec >= -_SIMPLEX_FLAG_TOL) and np.all(vec <= 1.0 + _SIMPLEX_FLAG_TOL))
+    on_simplex = bool(np.all(vec >= NEGATIVE_TOLERANCE))
     return AffineTernary(float(vec[0]), float(vec[1]), float(vec[2]), on_simplex)
 
 

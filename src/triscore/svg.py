@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .colors import PaletteParams, assign_color, hsv_to_rgb
 from .datasets import Dataset, resolve_observation, resolve_records, resolve_ternary
-from .errors import MissingVerificationHistory
+from .errors import DomainError, MissingVerificationHistory
 from .scoring import ScoringRule, brier_rule
 from .simplex import TernaryProb, make_ternary
 from .verification import (
@@ -48,9 +48,9 @@ class RenderConfig:
 
     def __post_init__(self):
         if self.width_px <= 0 or self.height_px <= 0 or self.cell_size_px <= 0:
-            raise ValueError("render dimensions must be positive")
+            raise DomainError("render dimensions must be positive")
         if self.dipole_threshold < 0:
-            raise ValueError("dipole threshold must be >= 0")
+            raise DomainError("dipole threshold must be >= 0")
 
 
 def _fmt(x: float) -> str:
@@ -154,7 +154,7 @@ def render_palette_legend(
     if params is None:
         params = PaletteParams()
     if size < 1:
-        raise ValueError("legend resolution must be >= 1")
+        raise DomainError("legend resolution must be >= 1")
     width, height = 480, 460
     margin = 30.0
     edge = width - 2 * margin

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDataset, InvalidDecomposition
-from .scoring import ScoringRule
+from .scoring import ScoringRule, uncertainty
 from .simplex import ObsCategory, TernaryProb, make_ternary
 
 
@@ -54,6 +54,27 @@ class BinnedStats:
         return sum(b.count for b in self.bins)
 
 
+def _pair_arrays(pairs: list[ForecastObsPair]) -> tuple[np.ndarray, np.ndarray]:
+    """The forecasts as an (N, 3) array and the observed category indices."""
+    F = np.array([pair.forecast.as_tuple() for pair in pairs])
+    obs = np.array([pair.obs.index for pair in pairs])
+    return F, obs
+
+
+def _snap(F: np.ndarray, nbins: int) -> np.ndarray:
+    """Lattice counts of each row of F, as an (N, 3) integer array.
+
+    A stable argsort of floor - scaled ranks the coordinates by
+    descending remainder with ties in the order B, N, A; the coordinates
+    ranked below the number of missing units get one more.
+    """
+    scaled = F * nbins
+    floors = np.floor(scaled)
+    missing = nbins - floors.sum(axis=1, keepdims=True)
+    rank = np.argsort(np.argsort(floors - scaled, axis=1, kind="stable"), axis=1)
+    return (floors + (rank < missing)).astype(np.int64)
+
+
 def snap_to_lattice(p: TernaryProb, nbins: int) -> tuple[int, int, int]:
     """Nearest lattice point with denominator nbins, as integer counts.
 
@@ -62,37 +83,28 @@ def snap_to_lattice(p: TernaryProb, nbins: int) -> tuple[int, int, int]:
     fractional parts (ties broken in the order B, N, A).  The result
     sums to nbins exactly and moves no coordinate by more than 1/nbins.
     """
-    scaled = [p.pB * nbins, p.pN * nbins, p.pA * nbins]
-    floors = [math.floor(v) for v in scaled]
-    remainders = [v - f for v, f in zip(scaled, floors)]
-    missing = nbins - sum(floors)
-    order = sorted(range(3), key=lambda i: (-remainders[i], i))
-    for i in range(missing):
-        floors[order[i]] += 1
-    return (floors[0], floors[1], floors[2])
+    return tuple(_snap(p.as_array()[None, :], nbins)[0].tolist())
 
 
 def bin_forecasts(pairs: list[ForecastObsPair], nbins: int = 11) -> BinnedStats:
     """Group pairs by the lattice point nearest to each forecast."""
     if not pairs:
         raise EmptyDataset("no forecast-observation pairs to bin")
-    if nbins < 1:
-        raise EmptyDataset(f"nbins = {nbins} must be >= 1")
-    counts: dict[tuple[int, int, int], np.ndarray] = {}
-    for pair in pairs:
-        key = snap_to_lattice(pair.forecast, nbins)
-        acc = counts.get(key)
-        if acc is None:
-            acc = np.zeros(3)
-            counts[key] = acc
-        acc[pair.obs.index] += 1.0
+    if not 1 <= nbins <= 2**31:  # so the lattice code below fits in int64
+        raise EmptyDataset(f"nbins = {nbins} must be between 1 and {2**31}")
+    F, obs = _pair_arrays(pairs)
+    keys = _snap(F, nbins)
+    # one code per lattice point, ordered as the (kB, kN, kA) tuples
+    _, first, inverse = np.unique(
+        keys[:, 0] * (nbins + 1) + keys[:, 1], return_index=True, return_inverse=True
+    )
+    obs_counts = np.bincount(3 * inverse + obs, minlength=3 * len(first)).reshape(-1, 3)
     bins = []
-    for key in sorted(counts):
-        obs_counts = counts[key]
-        total = int(obs_counts.sum())
+    for key, counts in zip(keys[first].tolist(), obs_counts):
+        total = int(counts.sum())
         center = make_ternary(key[0] / nbins, key[1] / nbins, key[2] / nbins)
-        mean_obs = make_ternary(*(obs_counts / total))
-        bins.append(Bin(center, total, mean_obs, key))
+        mean_obs = make_ternary(*(counts / total))
+        bins.append(Bin(center, total, mean_obs, tuple(key)))
     return BinnedStats(tuple(bins), nbins)
 
 
@@ -136,40 +148,29 @@ def decompose(rule: ScoringRule, binned: BinnedStats) -> Decomposition:
     """Murphy decomposition of the binned mean score.
 
     Within each bin the observation distribution over the three corners
-    is exactly the bin's mean observation, so every term reduces to a
-    count-weighted sum of squared plane distances between lattice
+    is exactly the bin's mean observation, so S, Z and R reduce to
+    count-weighted sums of squared plane distances between lattice
     centers, corner observations, conditional means and the overall
-    mean observation.
+    mean observation; U is the uncertainty of that overall mean.
     """
     if not binned.bins:
         raise EmptyDataset("no bins to decompose")
+    counts = np.array([b.count for b in binned.bins], dtype=float)
+    centers = np.array([b.center.as_tuple() for b in binned.bins])
+    freqs = np.array([b.mean_obs.as_tuple() for b in binned.bins])
+    n_total = counts.sum()
+    q_bar_vec = counts @ freqs / n_total
+
     Mhat = rule.Mhat
-    corners = [Mhat @ np.eye(3)[i] for i in range(3)]
-    n_total = binned.n_pairs
-
-    q_bar_vec = np.zeros(3)
-    for b in binned.bins:
-        q_bar_vec += b.count * b.mean_obs.as_array()
-    q_bar_vec /= n_total
+    P = centers @ Mhat.T
+    O = freqs @ Mhat.T
     Qb = Mhat @ q_bar_vec
-
-    S = U = Z = R = 0.0
-    for b in binned.bins:
-        Pk = Mhat @ b.center.as_array()
-        Ok = Mhat @ b.mean_obs.as_array()
-        w = b.mean_obs.as_tuple()  # observed corner frequencies in this bin
-        for c in range(3):
-            n_c = b.count * w[c]
-            if n_c > 0.0:
-                S += n_c * float((Pk - corners[c]) @ (Pk - corners[c]))
-                U += n_c * float((Qb - corners[c]) @ (Qb - corners[c]))
-        Z += b.count * float((Qb - Ok) @ (Qb - Ok))
-        R += b.count * float((Pk - Ok) @ (Pk - Ok))
-    S /= n_total
-    U /= n_total
-    Z /= n_total
-    R /= n_total
-    return Decomposition(S, U, Z, R, make_ternary(*q_bar_vec))
+    to_corners = ((P[:, None, :] - Mhat.T[None, :, :]) ** 2).sum(axis=2)
+    S = float(counts @ (freqs * to_corners).sum(axis=1)) / n_total
+    Z = float(counts @ ((Qb - O) ** 2).sum(axis=1)) / n_total
+    R = float(counts @ ((P - O) ** 2).sum(axis=1)) / n_total
+    q_bar = make_ternary(*q_bar_vec)
+    return Decomposition(S, uncertainty(rule, q_bar), Z, R, q_bar)
 
 
 def skill_radius(d: Decomposition) -> float | None:

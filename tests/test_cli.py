@@ -36,6 +36,15 @@ def dataset_csv(tmp_path):
     return str(path)
 
 
+def assert_fails_cleanly(result, code):
+    """Exit ``code`` with one ``error:`` line on stderr and no traceback."""
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert "Traceback" not in result.output
+
+
 def run_json(runner, args, **kw):
     result = runner.invoke(main, args, **kw)
     assert result.exit_code == 0, result.output
@@ -101,6 +110,23 @@ class TestExitCodes:
     def test_missing_file_is_2(self, runner):
         result = runner.invoke(main, ["verify", "-i", "/nonexistent/x.csv"])
         assert result.exit_code == 2
+
+    def test_directory_input_is_2(self, runner, tmp_path):
+        assert_fails_cleanly(runner.invoke(main, ["score", "-i", str(tmp_path)]), 2)
+
+    @pytest.mark.parametrize("args", [
+        ["render-map", "--width", "0"],
+        ["render-map", "--height", "-1"],
+        ["render-map", "--cell-size", "0"],
+        ["render-reliability", "--threshold", "-1"],
+    ], ids=["width", "height", "cell-size", "threshold"])
+    def test_bad_render_size_is_3(self, runner, dataset_json, tmp_path, args):
+        result = runner.invoke(main, [*args, "-i", dataset_json, "-o", str(tmp_path / "x.svg")])
+        assert_fails_cleanly(result, 3)
+
+    def test_palette_size_zero_is_3(self, runner, tmp_path):
+        result = runner.invoke(main, ["palette", "-o", str(tmp_path / "x.svg"), "--size", "0"])
+        assert_fails_cleanly(result, 3)
 
     def test_error_messages_name_offending_row(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -344,7 +344,10 @@ class TestJsonInputRejected:
         (b'{"records": [{"lat": 1' + b"0" * 5000 + b', "lon": 0, "pB": 1, "pN": 0, "pA": 0}]}',
          "invalid JSON"),
         (b'{"records": [{"lat": 0, "lon": 0, "members": [1, NaN]}]}', "members[1]"),
-    ], ids=["records-not-array", "huge-integer", "integer-too-long", "nan-member"])
+        (b'{"q": [true, 0, 0], "records": []}', "q[0]"),
+        (b'{"q": [0.5, "0.5", 0], "records": []}', "q[1]"),
+    ], ids=["records-not-array", "huge-integer", "integer-too-long", "nan-member",
+            "boolean-q", "string-q"])
     def test_schema_error(self, data, where):
         with pytest.raises(SchemaError) as err:
             parse_json(data)

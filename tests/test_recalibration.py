@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from triscore import (
@@ -7,16 +9,18 @@ from triscore import (
     ObsCategory,
     QuadraticMap,
     apply_map,
+    brier_rule,
     fit_map,
     make_ternary,
     mean_score_of_map,
     recalibration_report,
+    rps_rule,
     score,
 )
 from triscore.errors import EmptyDataset
-from triscore.recalibration import project_to_simplex
+from triscore.recalibration import _assemble, project_to_simplex
 
-from conftest import CATS, categorical_pairs
+from conftest import CATS, categorical_pairs, random_pd_rules
 
 B, N, A = ObsCategory.B, ObsCategory.N, ObsCategory.A
 
@@ -40,8 +44,6 @@ def nelder_mead_best(pairs, rule, rng, restarts=20):
     costs a single matrix-vector product; the map itself is still
     evaluated through the public API at the returned optimum.
     """
-    from triscore.recalibration import _assemble
-
     design, target = _assemble(pairs, rule)
     n = len(pairs)
 
@@ -203,6 +205,30 @@ class TestFitMap:
         assert mean_score_of_map(pairs, QuadraticMap.identity(), brier) == pytest.approx(
             direct, abs=1e-12
         )
+
+
+def mapped_reference(c, p):
+    """The map of the module docstring, written out term by term."""
+    pB, pA = p.pB, p.pA
+    tB = c[0] + c[1] * pB + c[2] * pA + c[3] * pB * pB + c[4] * pB * pA + c[5] * pA * pA
+    tA = c[6] + c[7] * pB + c[8] * pA + c[9] * pB * pB + c[10] * pB * pA + c[11] * pA * pA
+    return np.array([tB, 1.0 - tB - tA, tA])
+
+
+class TestResidualSystem:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+    def test_residual_norm_is_the_mean_score(self, seed, n):
+        rng = np.random.default_rng(seed)
+        pairs = categorical_pairs(rng, n)
+        coeffs = np.asarray(QuadraticMap.identity().coeffs) + rng.uniform(-0.5, 0.5, 12)
+        for rule in (brier_rule(), rps_rule(), *random_pd_rules(rng, 2)):
+            design, target = _assemble(pairs, rule)
+            resid = design @ coeffs - target
+            diffs = [rule.L @ (mapped_reference(coeffs, p.forecast) - p.obs.to_ternary().as_array())
+                     for p in pairs]
+            want = sum(float(d @ d) for d in diffs) / n
+            assert abs(float(resid @ resid) / n - want) <= 1e-12
 
 
 class TestRecalibrationReport:

@@ -14,7 +14,7 @@ from triscore import (
     to_bary,
     uncertainty,
 )
-from triscore.errors import DegenerateTriangle, NotPositiveDefinite
+from triscore.errors import DegenerateTriangle, NegativeProbability, NotPositiveDefinite
 
 from conftest import random_pd_rules, random_simplex, simplex_grid
 
@@ -148,6 +148,31 @@ class TestBaryMaps:
         assert not res.on_simplex
         assert min(res.as_array()) < 0
         assert res.as_array().sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_just_across_an_edge_is_off_simplex(self, brier):
+        v = np.array([-5e-10, 0.5 + 5e-10, 0.5])
+        res = from_bary(brier, BaryPoint(*(brier.Mhat @ v)))
+        assert not res.on_simplex
+        with pytest.raises(NegativeProbability):
+            res.to_ternary()
+
+    def test_flag_agrees_with_to_ternary_near_edges(self, brier, rps, rng):
+        for rule in [brier, rps, *random_pd_rules(rng, 3)]:
+            for _ in range(300):
+                edge = int(rng.integers(3))
+                v = rng.dirichlet((1.0, 1.0, 1.0))
+                v[edge] = 0.0
+                v /= v.sum()
+                delta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14, -8)
+                v[edge] += delta
+                v[(edge + 1) % 3] -= delta
+                res = from_bary(rule, BaryPoint(*(rule.Mhat @ v)))
+                try:
+                    res.to_ternary()
+                    accepted = True
+                except NegativeProbability:
+                    accepted = False
+                assert res.on_simplex == accepted
 
     def test_roundtrip_all_rules(self, brier, rps, rng):
         for rule in [brier, rps, *random_pd_rules(rng, 3)]:

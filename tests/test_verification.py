@@ -2,29 +2,114 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triscore import (
+    Bin,
+    BinnedStats,
     Decomposition,
     ForecastObsPair,
     ObsCategory,
     UNIFORM,
     bin_forecasts,
+    brier_rule,
     custom_rule,
     decompose,
     decomposition_diagram_geometry,
     make_ternary,
+    rps_rule,
     skill_radius,
     snap_to_lattice,
 )
 from triscore.errors import EmptyDataset, InvalidDecomposition
 
-from conftest import categorical_pairs, random_pd_rules
+from conftest import CATS, categorical_pairs, random_pd_rules
 
 B, N, A = ObsCategory.B, ObsCategory.N, ObsCategory.A
 
 
 def pair(p, obs):
     return ForecastObsPair(make_ternary(*p), obs)
+
+
+def snap_reference(p, nbins):
+    """Scalar largest-remainder rounding: the reference for the array snap."""
+    scaled = [p.pB * nbins, p.pN * nbins, p.pA * nbins]
+    floors = [math.floor(v) for v in scaled]
+    remainders = [v - f for v, f in zip(scaled, floors)]
+    missing = nbins - sum(floors)
+    order = sorted(range(3), key=lambda i: (-remainders[i], i))
+    for i in range(missing):
+        floors[order[i]] += 1
+    return (floors[0], floors[1], floors[2])
+
+
+def bin_reference(pairs, nbins):
+    """Per-pair grouping on the lattice: the reference for bin_forecasts."""
+    counts = {}
+    for p in pairs:
+        acc = counts.setdefault(snap_reference(p.forecast, nbins), np.zeros(3))
+        acc[p.obs.index] += 1.0
+    bins = []
+    for key in sorted(counts):
+        total = int(counts[key].sum())
+        center = make_ternary(key[0] / nbins, key[1] / nbins, key[2] / nbins)
+        bins.append(Bin(center, total, make_ternary(*(counts[key] / total)), key))
+    return BinnedStats(tuple(bins), nbins)
+
+
+def decompose_reference(rule, binned):
+    """Per-bin, per-corner sums of squared plane distances: the reference
+    for decompose, as (S, U, Z, R)."""
+    Mhat = rule.Mhat
+    corners = [Mhat @ np.eye(3)[i] for i in range(3)]
+    n_total = binned.n_pairs
+    q_bar_vec = np.zeros(3)
+    for b in binned.bins:
+        q_bar_vec += b.count * b.mean_obs.as_array()
+    q_bar_vec /= n_total
+    Qb = Mhat @ q_bar_vec
+    S = U = Z = R = 0.0
+    for b in binned.bins:
+        Pk = Mhat @ b.center.as_array()
+        Ok = Mhat @ b.mean_obs.as_array()
+        w = b.mean_obs.as_tuple()  # observed corner frequencies in this bin
+        for c in range(3):
+            n_c = b.count * w[c]
+            if n_c > 0.0:
+                S += n_c * float((Pk - corners[c]) @ (Pk - corners[c]))
+                U += n_c * float((Qb - corners[c]) @ (Qb - corners[c]))
+        Z += b.count * float((Qb - Ok) @ (Qb - Ok))
+        R += b.count * float((Pk - Ok) @ (Pk - Ok))
+    return (S / n_total, U / n_total, Z / n_total, R / n_total)
+
+
+def _lattice(n):
+    return st.integers(0, n).flatmap(
+        lambda i: st.integers(0, n - i).map(lambda j: (i / n, j / n, (n - i - j) / n))
+    )
+
+
+_weights = st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda w: sum(w) > 0.0).map(
+    lambda w: tuple(x / sum(w) for x in w)
+)
+
+
+@st.composite
+def _binning_cases(draw):
+    """nbins and pairs whose forecasts include points of that lattice and
+    of others, and exact remainder ties such as (0.5, 0.5, 0)."""
+    nbins = draw(st.integers(1, 30))
+    forecast = st.one_of(
+        _lattice(nbins),
+        st.integers(1, 60).flatmap(_lattice),
+        st.permutations((0.5, 0.5, 0.0)).map(tuple),
+        st.just((1 / 3, 1 / 3, 1 / 3)),
+        _weights,
+    )
+    rows = draw(st.lists(st.tuples(forecast, st.sampled_from(CATS)), min_size=1, max_size=60))
+    return nbins, [pair(p, obs) for p, obs in rows]
 
 
 class TestSnapping:
@@ -98,6 +183,15 @@ class TestBinning:
         with pytest.raises(EmptyDataset):
             bin_forecasts([], 11)
 
+    def test_finest_lattice(self, rng):
+        # the largest nbins whose lattice code fits in int64 still groups
+        # and orders exactly; one more is rejected, not wrapped around
+        pairs = categorical_pairs(rng, 50) + [pair((0.5, 0.5, 0.0), B)] * 2
+        assert bin_forecasts(pairs, 2**31) == bin_reference(pairs, 2**31)
+        for nbins in (0, 2**31 + 1):
+            with pytest.raises(EmptyDataset):
+                bin_forecasts(pairs, nbins)
+
     def test_binning_already_binned_is_identity(self, rng):
         pairs = categorical_pairs(rng, 200)
         binned = bin_forecasts(pairs, 11)
@@ -107,6 +201,24 @@ class TestBinning:
         )
         assert [b.center for b in rebinned.bins] == [b.center for b in binned.bins]
         assert [b.count for b in rebinned.bins] == [b.count for b in binned.bins]
+
+
+class TestArrayMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_binning_cases())
+    def test_binning(self, case):
+        nbins, pairs = case
+        assert bin_forecasts(pairs, nbins) == bin_reference(pairs, nbins)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_binning_cases(), st.integers(0, 2**32 - 1))
+    def test_decomposition(self, case, seed):
+        nbins, pairs = case
+        binned = bin_forecasts(pairs, nbins)
+        for rule in (brier_rule(), rps_rule(), *random_pd_rules(np.random.default_rng(seed), 2)):
+            d = decompose(rule, binned)
+            want = decompose_reference(rule, binned)
+            assert np.max(np.abs(np.array([d.S, d.U, d.Z, d.R]) - want)) <= 1e-12
 
 
 class TestDecompose:
