@@ -18,6 +18,7 @@ from .datasets import (
     Dataset,
     ForecastRecord,
     json_floats,
+    load_json,
     pairs_from_dataset,
     parse_csv,
     parse_json,
@@ -44,16 +45,16 @@ def _fail(code: int, err: Exception) -> None:
     sys.exit(code)
 
 
-def _guard(fn):
-    """Run a command body, mapping package errors to exit codes."""
-    try:
-        fn()
-    except SchemaError as e:
-        _fail(EXIT_SCHEMA, e)
-    except DomainError as e:
-        _fail(EXIT_DOMAIN, e)
-    except OSError as e:
-        _fail(EXIT_SCHEMA, e)
+class _Group(click.Group):
+    """The command group; maps package and file errors of every subcommand to exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (SchemaError, OSError) as e:
+            _fail(EXIT_SCHEMA, e)
+        except DomainError as e:
+            _fail(EXIT_DOMAIN, e)
 
 
 def _read_dataset(path: str) -> Dataset:
@@ -96,9 +97,10 @@ def _rule_by_name(name: str) -> ScoringRule:
 def _palette_from(m: float, theta0: float, anchors: str | None) -> PaletteParams:
     if anchors is None:
         return PaletteParams(m=m, theta0=theta0)
+    doc = load_json(anchors, "invalid hue anchor list")
     try:
-        table = tuple((float(t), float(h)) for t, h in json.loads(anchors))
-    except (ValueError, TypeError, json.JSONDecodeError) as e:
+        table = tuple((float(t), float(h)) for t, h in doc)
+    except (ValueError, TypeError) as e:
         raise SchemaError(f"invalid hue anchor list: {e}") from None
     return PaletteParams(m=m, theta0=theta0, hue_anchors=table)
 
@@ -141,7 +143,7 @@ _anchors_opt = click.option("--anchors", default=None,
                             help="Hue anchor table as a JSON list of [t, hue] pairs.")
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.version_option(version=__version__)
 def main():
     """Verification, colouring and recalibration of ternary forecasts."""
@@ -161,35 +163,31 @@ def project(input_path, output_path, map_path, clip):
     the projected dataset stays verifiable after the Gaussian or
     ensemble context is dropped.
     """
+    dataset = _read_dataset(input_path)
+    mapping = _load_map(map_path) if map_path else None
+    n_off = 0
 
-    def body():
-        dataset = _read_dataset(input_path)
-        mapping = _load_map(map_path) if map_path else None
-        n_off = 0
+    def resolve(rec, q):
+        nonlocal n_off
+        p = resolve_ternary(rec, q)
+        obs = resolve_observation(rec, q)
+        if mapping is not None:
+            res = apply_map(mapping, p, clip=clip)
+            if not res.on_simplex:
+                n_off += 1
+            # unclipped off-simplex values fail here as a domain error
+            p = res.to_ternary()
+        return ForecastRecord(lat=rec.lat, lon=rec.lon, ternary=p, obs=obs)
 
-        def resolve(rec, q):
-            nonlocal n_off
-            p = resolve_ternary(rec, q)
-            obs = resolve_observation(rec, q)
-            if mapping is not None:
-                res = apply_map(mapping, p, clip=clip)
-                if not res.on_simplex:
-                    n_off += 1
-                # unclipped off-simplex values fail here as a domain error
-                p = res.to_ternary()
-            return ForecastRecord(lat=rec.lat, lon=rec.lon, ternary=p, obs=obs)
-
-        records = resolve_records(dataset, resolve)
-        out = Dataset(records=tuple(records), q=dataset.q, metadata=dataset.metadata)
-        _write_bytes(output_path, write_json(out))
-        if output_path not in (None, "-"):
-            click.echo(json.dumps({
-                "output": output_path,
-                "n_records": len(records),
-                "n_off_simplex": n_off,
-            }, indent=2))
-
-    _guard(body)
+    records = resolve_records(dataset, resolve)
+    out = Dataset(records=tuple(records), q=dataset.q, metadata=dataset.metadata)
+    _write_bytes(output_path, write_json(out))
+    if output_path not in (None, "-"):
+        click.echo(json.dumps({
+            "output": output_path,
+            "n_records": len(records),
+            "n_off_simplex": n_off,
+        }, indent=2))
 
 
 @main.command(name="score")
@@ -198,15 +196,11 @@ def project(input_path, output_path, map_path, clip):
 @_score_opt
 def score_cmd(input_path, output_path, score_rule):
     """Mean quadratic score of the observed records."""
-
-    def body():
-        pairs = _read_pairs(input_path)
-        rule = _rule_by_name(score_rule)
-        mean = sum(score(rule, p.forecast, p.obs.to_ternary()) for p in pairs) / len(pairs)
-        _emit_summary({"rule": score_rule, "mean_score": mean, "n_pairs": len(pairs)},
-                      output_path)
-
-    _guard(body)
+    pairs = _read_pairs(input_path)
+    rule = _rule_by_name(score_rule)
+    mean = sum(score(rule, p.forecast, p.obs.to_ternary()) for p in pairs) / len(pairs)
+    _emit_summary({"rule": score_rule, "mean_score": mean, "n_pairs": len(pairs)},
+                  output_path)
 
 
 @main.command()
@@ -216,25 +210,18 @@ def score_cmd(input_path, output_path, score_rule):
 @_nbins_opt
 def verify(input_path, output_path, score_rule, nbins):
     """Bin forecasts and write the score decomposition S = U - Z + R."""
-
-    def body():
-        pairs = _read_pairs(input_path)
-        rule = _rule_by_name(score_rule)
-        binned = bin_forecasts(pairs, nbins)
-        decomp = decompose(rule, binned)
-        summary = _decomposition_summary(decomp, binned)
-        summary["rule"] = score_rule
-        summary["nbins"] = nbins
-        _emit_summary(summary, output_path)
-
-    _guard(body)
+    pairs = _read_pairs(input_path)
+    rule = _rule_by_name(score_rule)
+    binned = bin_forecasts(pairs, nbins)
+    decomp = decompose(rule, binned)
+    summary = _decomposition_summary(decomp, binned)
+    summary["rule"] = score_rule
+    summary["nbins"] = nbins
+    _emit_summary(summary, output_path)
 
 
 def _load_map(path: str) -> QuadraticMap:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as e:  # also a file that is not UTF-8
-        raise SchemaError(f"invalid coefficients file: {e}") from None
+    doc = load_json(Path(path).read_bytes(), "invalid coefficients file")
     coeffs = doc.get("coefficients") if isinstance(doc, dict) else doc
     if not (isinstance(coeffs, list) and len(coeffs) == 12):
         raise SchemaError("coefficients must be a JSON array of 12 numbers")
@@ -250,37 +237,33 @@ def _load_map(path: str) -> QuadraticMap:
               help="Trailing fraction of pairs reserved for evaluation.")
 def calibrate(input_path, output_path, score_rule, nbins, holdout):
     """Fit the quadratic recalibration map and report before/after."""
-
-    def body():
-        if not 0.0 <= holdout < 1.0:
-            raise EmptyDataset(f"holdout fraction {holdout} outside [0, 1)")
-        pairs = _read_pairs(input_path)
-        rule = _rule_by_name(score_rule)
-        n_train = len(pairs) - int(round(holdout * len(pairs)))
-        train = pairs[:n_train]
-        evaluate = pairs[n_train:] if holdout > 0.0 else pairs
-        if not train:
-            raise EmptyDataset("holdout leaves no training pairs")
-        if not evaluate:
-            raise EmptyDataset("holdout leaves no evaluation pairs")
-        mapping = fit_map(train, rule)
-        report = recalibration_report(evaluate, mapping, rule, nbins)
-        summary = {
-            "rule": score_rule,
-            "nbins": nbins,
-            "holdout": holdout,
-            "n_train": len(train),
-            "n_eval": len(evaluate),
-            "coefficients": list(mapping.coeffs),
-            "mean_score_before": report.mean_score_before,
-            "mean_score_after": report.mean_score_after,
-            "n_off_simplex": report.n_off_simplex,
-            "before": _decomposition_summary(report.before, report.binned_before),
-            "after": _decomposition_summary(report.after, report.binned_after),
-        }
-        _emit_summary(summary, output_path)
-
-    _guard(body)
+    if not 0.0 <= holdout < 1.0:
+        raise EmptyDataset(f"holdout fraction {holdout} outside [0, 1)")
+    pairs = _read_pairs(input_path)
+    rule = _rule_by_name(score_rule)
+    n_train = len(pairs) - int(round(holdout * len(pairs)))
+    train = pairs[:n_train]
+    evaluate = pairs[n_train:] if holdout > 0.0 else pairs
+    if not train:
+        raise EmptyDataset("holdout leaves no training pairs")
+    if not evaluate:
+        raise EmptyDataset("holdout leaves no evaluation pairs")
+    mapping = fit_map(train, rule)
+    report = recalibration_report(evaluate, mapping, rule, nbins)
+    summary = {
+        "rule": score_rule,
+        "nbins": nbins,
+        "holdout": holdout,
+        "n_train": len(train),
+        "n_eval": len(evaluate),
+        "coefficients": list(mapping.coeffs),
+        "mean_score_before": report.mean_score_before,
+        "mean_score_after": report.mean_score_after,
+        "n_off_simplex": report.n_off_simplex,
+        "before": _decomposition_summary(report.before, report.binned_before),
+        "after": _decomposition_summary(report.after, report.binned_after),
+    }
+    _emit_summary(summary, output_path)
 
 
 @main.command(name="render-map")
@@ -306,29 +289,25 @@ def render_map(input_path, output_path, score_rule, nbins, m, theta0, anchors,
                show_skill_circles, cell_size, width, height, min_pairs, circle_scale,
                overlay_path):
     """Render the forecast map as SVG."""
-
-    def body():
-        dataset = _read_dataset(input_path)
-        config = RenderConfig(
-            width_px=width, height_px=height, cell_size_px=cell_size,
-            show_skill_circles=show_skill_circles,
-            palette=_palette_from(m, theta0, anchors),
-            nbins=nbins, min_pairs_for_circle=min_pairs, circle_scale=circle_scale,
-        )
-        overlay = _load_overlay(overlay_path) if overlay_path else None
-        data = render_forecast_map(dataset, config, _rule_by_name(score_rule), overlay)
-        _write_bytes(output_path, data)
-        click.echo(json.dumps({"output": output_path, "n_records": len(dataset.records)},
-                              indent=2))
-
-    _guard(body)
+    dataset = _read_dataset(input_path)
+    config = RenderConfig(
+        width_px=width, height_px=height, cell_size_px=cell_size,
+        show_skill_circles=show_skill_circles,
+        palette=_palette_from(m, theta0, anchors),
+        nbins=nbins, min_pairs_for_circle=min_pairs, circle_scale=circle_scale,
+    )
+    overlay = _load_overlay(overlay_path) if overlay_path else None
+    data = render_forecast_map(dataset, config, _rule_by_name(score_rule), overlay)
+    _write_bytes(output_path, data)
+    click.echo(json.dumps({"output": output_path, "n_records": len(dataset.records)},
+                          indent=2))
 
 
 def _load_overlay(path: str) -> list[list[tuple[float, float]]]:
+    doc = load_json(Path(path).read_bytes(), "invalid overlay file")
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
         return [[(float(lat), float(lon)) for lat, lon in line] for line in doc]
-    except (json.JSONDecodeError, TypeError, ValueError) as e:
+    except (TypeError, ValueError) as e:
         raise SchemaError(f"invalid overlay file: {e}") from None
 
 
@@ -342,21 +321,17 @@ def _load_overlay(path: str) -> list[list[tuple[float, float]]]:
 @click.option("--height", type=int, default=700, show_default=True)
 def render_reliability(input_path, output_path, score_rule, nbins, threshold, width, height):
     """Render the ternary reliability diagram as SVG."""
-
-    def body():
-        pairs = _read_pairs(input_path)
-        rule = _rule_by_name(score_rule)
-        binned = bin_forecasts(pairs, nbins)
-        decomp = decompose(rule, binned)
-        config = RenderConfig(width_px=width, height_px=height,
-                              dipole_threshold=threshold, nbins=nbins)
-        data = render_reliability_diagram(binned, decomp, config)
-        _write_bytes(output_path, data)
-        shown = sum(1 for b in binned.bins if b.count >= threshold)
-        click.echo(json.dumps({"output": output_path, "n_bins": len(binned.bins),
-                               "n_dipoles": shown}, indent=2))
-
-    _guard(body)
+    pairs = _read_pairs(input_path)
+    rule = _rule_by_name(score_rule)
+    binned = bin_forecasts(pairs, nbins)
+    decomp = decompose(rule, binned)
+    config = RenderConfig(width_px=width, height_px=height,
+                          dipole_threshold=threshold, nbins=nbins)
+    data = render_reliability_diagram(binned, decomp, config)
+    _write_bytes(output_path, data)
+    shown = sum(1 for b in binned.bins if b.count >= threshold)
+    click.echo(json.dumps({"output": output_path, "n_bins": len(binned.bins),
+                           "n_dipoles": shown}, indent=2))
 
 
 @main.command()
@@ -370,28 +345,24 @@ def render_reliability(input_path, output_path, score_rule, nbins, threshold, wi
               help="Lattice resolution of the legend.")
 def palette(output_path, q_text, m, theta0, anchors, size):
     """Render the colour palette legend as SVG."""
-
-    def body():
-        parts = q_text.split(",")
-        if len(parts) != 3:
-            raise SchemaError(f"q must have three components, got {q_text!r}")
-        vals = []
-        for part in parts:
-            part = part.strip()
-            try:
-                if "/" in part:
-                    num, den = part.split("/")
-                    vals.append(float(num) / float(den))
-                else:
-                    vals.append(float(part))
-            except (ValueError, ZeroDivisionError):
-                raise SchemaError(f"invalid climatology component {part!r}") from None
-        q = make_ternary(*vals)
-        data = render_palette_legend(q, _palette_from(m, theta0, anchors), size)
-        _write_bytes(output_path, data)
-        click.echo(json.dumps({"output": output_path, "size": size}, indent=2))
-
-    _guard(body)
+    parts = q_text.split(",")
+    if len(parts) != 3:
+        raise SchemaError(f"q must have three components, got {q_text!r}")
+    vals = []
+    for part in parts:
+        part = part.strip()
+        try:
+            if "/" in part:
+                num, den = part.split("/")
+                vals.append(float(num) / float(den))
+            else:
+                vals.append(float(part))
+        except (ValueError, ZeroDivisionError):
+            raise SchemaError(f"invalid climatology component {part!r}") from None
+    q = make_ternary(*vals)
+    data = render_palette_legend(q, _palette_from(m, theta0, anchors), size)
+    _write_bytes(output_path, data)
+    click.echo(json.dumps({"output": output_path, "size": size}, indent=2))
 
 
 if __name__ == "__main__":

@@ -55,8 +55,10 @@ class PaletteParams:
     hue_anchors: tuple[tuple[float, float], ...] = field(default=DEFAULT_HUE_ANCHORS)
 
     def __post_init__(self):
-        if self.m <= 0.0:
-            raise ChannelOutOfRange(f"saturation exponent m = {self.m} must be > 0")
+        if not (math.isfinite(self.m) and self.m > 0.0):
+            raise ChannelOutOfRange(f"saturation exponent m = {self.m} must be finite and > 0")
+        if not math.isfinite(self.theta0):
+            raise ChannelOutOfRange(f"palette rotation theta0 = {self.theta0} must be finite")
         anchors = tuple((float(t), float(h)) for t, h in self.hue_anchors)
         if len(anchors) < 2 or anchors[0][0] != 0.0 or anchors[-1][0] != 1.0:
             raise ChannelOutOfRange("hue anchors must start at t=0 and end at t=1")

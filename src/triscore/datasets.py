@@ -210,6 +210,18 @@ def _decode(data: bytes) -> str:
         raise SchemaError(f"input is not UTF-8: {e}") from None
 
 
+def load_json(data: str | bytes, what: str):
+    """Decode a JSON document; any failure is a SchemaError "<what>: <reason>".
+
+    Bytes must be UTF-8.  Nesting too deep for the decoder's recursion
+    is one such failure.
+    """
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
+        raise SchemaError(f"{what}: {e}") from None
+
+
 def _csv_float(cells: dict[str, str], name: str, where: str) -> float | None:
     """The named cell as a finite float; None if it is empty or absent."""
     text = cells.get(name)
@@ -313,10 +325,7 @@ def _json_numbers(rec: dict, key: str, where: str) -> tuple[float, ...] | None:
 
 def parse_json(data: bytes) -> Dataset:
     """Parse a JSON dataset: {"q": [...], "metadata": {...}, "records": [...]}."""
-    try:
-        doc = json.loads(_decode(data))
-    except ValueError as e:
-        raise SchemaError(f"invalid JSON: {e}") from None
+    doc = load_json(_decode(data), "invalid JSON")
     if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
         raise SchemaError("top level must be an object with a 'records' array")
 

@@ -47,8 +47,9 @@ class RenderConfig:
     circle_scale: float = 1.0
 
     def __post_init__(self):
-        if self.width_px <= 0 or self.height_px <= 0 or self.cell_size_px <= 0:
-            raise DomainError("render dimensions must be positive")
+        sizes = (self.width_px, self.height_px, self.cell_size_px, self.circle_scale)
+        if not all(math.isfinite(x) and x > 0 for x in sizes):
+            raise DomainError("render sizes and circle scale must be finite and positive")
         if self.dipole_threshold < 0:
             raise DomainError("dipole threshold must be >= 0")
 

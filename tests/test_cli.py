@@ -45,6 +45,29 @@ def assert_fails_cleanly(result, code):
     assert "Traceback" not in result.output
 
 
+# deeper than the JSON decoder's recursion limit
+DEEP_JSON = "[" * 5000 + "]" * 5000
+
+# one input per subcommand that must end in exit 2 or 3; "{ds}" is a valid
+# dataset, "{deep}" a file holding DEEP_JSON, "{out}" a path that does not exist
+FAILING_INPUTS = {
+    "calibrate": (["-i", "{ds}", "--holdout", "1"], 3),
+    "palette": (["-o", "{out}", "--q", "0.5,0.5"], 2),
+    "project": (["-i", "{ds}", "-o", "{out}/x.json"], 2),
+    "render-map": (["-i", "{ds}", "-o", "{out}", "--cell-size", "nan"], 3),
+    "render-reliability": (["-i", "{ds}", "-o", "{out}", "--threshold", "-1"], 3),
+    "score": (["-i", "{out}"], 2),
+    "verify": (["-i", "{ds}", "--nbins", "0"], 3),
+}
+
+
+def fill_paths(args, dataset_path, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    paths = {"ds": dataset_path, "deep": str(deep), "out": str(tmp_path / "out")}
+    return [a.format(**paths) for a in args]
+
+
 def run_json(runner, args, **kw):
     result = runner.invoke(main, args, **kw)
     assert result.exit_code == 0, result.output
@@ -119,7 +142,12 @@ class TestExitCodes:
         ["render-map", "--height", "-1"],
         ["render-map", "--cell-size", "0"],
         ["render-reliability", "--threshold", "-1"],
-    ], ids=["width", "height", "cell-size", "threshold"])
+        ["render-map", "--cell-size", "nan"],
+        ["render-map", "--circle-scale", "-1", "--show-skill-circles"],
+        ["render-map", "--circle-scale", "nan"],
+        ["render-map", "--m", "nan"],
+    ], ids=["width", "height", "cell-size", "threshold", "cell-size-nan", "circle-scale-neg",
+            "circle-scale-nan", "m-nan"])
     def test_bad_render_size_is_3(self, runner, dataset_json, tmp_path, args):
         result = runner.invoke(main, [*args, "-i", dataset_json, "-o", str(tmp_path / "x.svg")])
         assert_fails_cleanly(result, 3)
@@ -127,6 +155,32 @@ class TestExitCodes:
     def test_palette_size_zero_is_3(self, runner, tmp_path):
         result = runner.invoke(main, ["palette", "-o", str(tmp_path / "x.svg"), "--size", "0"])
         assert_fails_cleanly(result, 3)
+
+    @pytest.mark.parametrize("args", [["--m", "inf"], ["--theta0", "nan"]],
+                             ids=["m-inf", "theta0-nan"])
+    def test_non_finite_palette_option_is_3(self, runner, tmp_path, args):
+        result = runner.invoke(main, ["palette", "-o", str(tmp_path / "x.svg"), *args])
+        assert_fails_cleanly(result, 3)
+
+    @pytest.mark.parametrize("args, prefix", [
+        (["score", "-i", "{deep}"], "invalid JSON"),
+        (["project", "-i", "{ds}", "-o", "{out}", "--apply-map", "{deep}"],
+         "invalid coefficients file"),
+        (["render-map", "-i", "{ds}", "-o", "{out}", "--overlay", "{deep}"],
+         "invalid overlay file"),
+        (["palette", "-o", "{out}", "--anchors", DEEP_JSON], "invalid hue anchor list"),
+    ], ids=["input", "apply-map", "overlay", "anchors"])
+    def test_deeply_nested_json_is_2(self, runner, dataset_json, tmp_path, args, prefix):
+        result = runner.invoke(main, fill_paths(args, dataset_json, tmp_path))
+        assert_fails_cleanly(result, 2)
+        assert result.stderr.startswith(f"error: {prefix}: ")
+
+    @pytest.mark.parametrize("command", sorted(main.commands))
+    def test_every_command_fails_cleanly(self, runner, dataset_json, tmp_path, command):
+        assert set(FAILING_INPUTS) == set(main.commands)
+        args, code = FAILING_INPUTS[command]
+        result = runner.invoke(main, fill_paths([command, *args], dataset_json, tmp_path))
+        assert_fails_cleanly(result, code)
 
     def test_error_messages_name_offending_row(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -149,6 +149,13 @@ class TestPaletteParams:
         with pytest.raises(ChannelOutOfRange):
             PaletteParams(m=0.0)
 
+    @pytest.mark.parametrize("kw", [
+        {"m": math.inf}, {"m": math.nan}, {"theta0": math.nan}, {"theta0": -math.inf},
+    ], ids=["m-inf", "m-nan", "theta0-nan", "theta0-inf"])
+    def test_rejects_non_finite_parameters(self, kw):
+        with pytest.raises(ChannelOutOfRange):
+            PaletteParams(**kw)
+
 
 class TestHsvToRgb:
     def test_primaries(self):

@@ -346,8 +346,9 @@ class TestJsonInputRejected:
         (b'{"records": [{"lat": 0, "lon": 0, "members": [1, NaN]}]}', "members[1]"),
         (b'{"q": [true, 0, 0], "records": []}', "q[0]"),
         (b'{"q": [0.5, "0.5", 0], "records": []}', "q[1]"),
+        (b'{"records": ' + b"[" * 5000 + b"]" * 5000 + b"}", "invalid JSON"),
     ], ids=["records-not-array", "huge-integer", "integer-too-long", "nan-member",
-            "boolean-q", "string-q"])
+            "boolean-q", "string-q", "deep-nesting"])
     def test_schema_error(self, data, where):
         with pytest.raises(SchemaError) as err:
             parse_json(data)

@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -80,6 +82,13 @@ class TestNormalPrimitives:
     def test_quantile_against_bisection_oracle(self):
         for u in (1e-10, 1e-6, 0.01, 0.25, 0.5, 0.75, 0.99, 1 - 1e-6):
             assert std_normal_quantile(u) == pytest.approx(phi_inv_oracle(u), abs=1e-10)
+
+    @pytest.mark.parametrize("u", [1e-300, 1e-6, 0.25, 0.5, 0.999,
+                                   1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
+    def test_quantile_within_8_ulp(self, u):
+        want = phi_inv_oracle(u)
+        # the oracle itself is only known to its 1e-25 bisection width
+        assert abs(std_normal_quantile(u) - want) <= 8 * math.ulp(want) + 1e-25
 
     def test_mutual_consistency(self, rng):
         worst = 0.0

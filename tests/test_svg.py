@@ -1,3 +1,4 @@
+import math
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -21,7 +22,7 @@ from triscore import (
     render_reliability_diagram,
     skill_radius,
 )
-from triscore.errors import MissingVerificationHistory
+from triscore.errors import DomainError, MissingVerificationHistory
 
 from conftest import categorical_pairs, frozen_dataset
 
@@ -56,6 +57,18 @@ def skill_history_dataset():
     for _ in range(3):
         records.append(ForecastRecord(lat=0.0, lon=1.0, ternary=make_ternary(0, 0, 1), obs=B))
     return Dataset(records=tuple(records))
+
+
+class TestRenderConfig:
+    @pytest.mark.parametrize("kw", [
+        {"width_px": 0}, {"height_px": -1}, {"cell_size_px": math.nan},
+        {"cell_size_px": math.inf}, {"circle_scale": -1.0}, {"circle_scale": 0.0},
+        {"circle_scale": math.nan},
+    ], ids=["width-0", "height-neg", "cell-nan", "cell-inf", "circle-neg", "circle-0",
+            "circle-nan"])
+    def test_rejects_non_positive_or_non_finite_sizes(self, kw):
+        with pytest.raises(DomainError):
+            RenderConfig(**kw)
 
 
 class TestPaletteLegend:
