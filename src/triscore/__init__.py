@@ -9,6 +9,7 @@ from .colors import (
     PaletteParams,
     assign_color,
     dominant_category,
+    hex_colors,
     hsv_to_rgb,
     information_gain,
     legacy_region,
@@ -75,6 +76,7 @@ from .verification import (
     ForecastObsPair,
     bin_forecasts,
     decompose,
+    decompose_by_group,
     decomposition_diagram_geometry,
     skill_radius,
     snap_to_lattice,
@@ -89,11 +91,12 @@ __all__ = [
     "LegacyRegion", "ObsCategory", "PaletteParams", "QuadraticMap",
     "RenderConfig", "ScoringRule", "TernaryProb", "UNIFORM",
     "apply_map", "assign_color", "bin_forecasts", "brier_rule", "custom_rule",
-    "decompose", "decomposition_diagram_geometry", "dominant_category",
-    "empirical_quantiles", "ensemble_to_ternary", "fit_map", "from_bary",
-    "gaussian_to_ternary", "hsv_to_rgb", "information_gain", "legacy_region",
-    "make_ternary", "mean_score_of_map", "pairs_from_dataset", "parse_csv",
-    "parse_json", "recalibration_report", "render_forecast_map",
+    "decompose", "decompose_by_group", "decomposition_diagram_geometry",
+    "dominant_category", "empirical_quantiles", "ensemble_to_ternary", "fit_map",
+    "from_bary", "gaussian_to_ternary", "hex_colors", "hsv_to_rgb",
+    "information_gain", "legacy_region", "make_ternary", "mean_score_of_map",
+    "pairs_from_dataset", "parse_csv", "parse_json", "recalibration_report",
+    "render_forecast_map",
     "render_palette_legend", "render_reliability_diagram",
     "resolve_observation", "resolve_ternary", "rps_rule", "scale_params",
     "score", "skill_radius", "snap_to_lattice", "std_normal_cdf",

@@ -17,6 +17,7 @@ from .colors import PaletteParams
 from .datasets import (
     Dataset,
     ForecastRecord,
+    check_lat_lon,
     json_floats,
     load_json,
     pairs_from_dataset,
@@ -299,16 +300,30 @@ def render_map(input_path, output_path, score_rule, nbins, m, theta0, anchors,
     overlay = _load_overlay(overlay_path) if overlay_path else None
     data = render_forecast_map(dataset, config, _rule_by_name(score_rule), overlay)
     _write_bytes(output_path, data)
-    click.echo(json.dumps({"output": output_path, "n_records": len(dataset.records)},
-                          indent=2))
+    drawn = data[:data.index(b'<g id="legend">')]
+    click.echo(json.dumps({
+        "output": output_path,
+        "n_records": len(dataset.records),
+        "n_drawn": drawn.count(b"<circle " if show_skill_circles else b"<rect "),
+    }, indent=2))
 
 
 def _load_overlay(path: str) -> list[list[tuple[float, float]]]:
     doc = load_json(Path(path).read_bytes(), "invalid overlay file")
-    try:
-        return [[(float(lat), float(lon)) for lat, lon in line] for line in doc]
-    except (TypeError, ValueError) as e:
-        raise SchemaError(f"invalid overlay file: {e}") from None
+    if not (isinstance(doc, list) and all(isinstance(line, list) for line in doc)):
+        raise SchemaError("overlay must be a JSON array of polylines")
+    lines = []
+    for i, line in enumerate(doc):
+        points = []
+        for j, point in enumerate(line):
+            where = f"overlay[{i}][{j}]"
+            if not (isinstance(point, list) and len(point) == 2):
+                raise SchemaError("point must be a [lat, lon] pair", where)
+            lat, lon = json_floats(point, where)
+            check_lat_lon(lat, lon, where)
+            points.append((lat, lon))
+        lines.append(points)
+    return lines
 
 
 @main.command(name="render-reliability")

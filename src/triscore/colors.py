@@ -15,6 +15,7 @@ import colorsys
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -101,6 +102,13 @@ class ColorRGB:
         return f"#{chan(self.r):02x}{chan(self.g):02x}{chan(self.b):02x}"
 
 
+def _positive_climatology(q: TernaryProb) -> tuple[float, float, float]:
+    qs = q.as_tuple()
+    if min(qs) <= 0.0:
+        raise DegenerateClimatology(f"climatology {qs} has a non-positive component")
+    return qs
+
+
 def information_gain(p: TernaryProb, q: TernaryProb) -> float:
     """Kullback-Leibler divergence of p from q, scaled into [0, 1].
 
@@ -108,9 +116,7 @@ def information_gain(p: TernaryProb, q: TernaryProb) -> float:
     p = q and 1 exactly at the corner(s) of least climatological
     probability.  The convention 0*log(0) = 0 applies.
     """
-    qs = q.as_tuple()
-    if min(qs) <= 0.0:
-        raise DegenerateClimatology(f"climatology {qs} has a non-positive component")
+    qs = _positive_climatology(q)
     acc = 0.0
     for pi, qi in zip(p.as_tuple(), qs):
         if pi > 0.0:
@@ -157,6 +163,71 @@ def hsv_to_rgb(c: ColorHSV) -> ColorRGB:
             raise ChannelOutOfRange(f"{name} = {v} outside [0, 1]")
     r, g, b = colorsys.hsv_to_rgb(c.hue, c.saturation, c.value)
     return ColorRGB(r, g, b)
+
+
+# colorsys's channel order per hexcone sector, as columns of (v, p, q, t)
+_SECTOR_CHANNELS = np.array([[0, 3, 1], [2, 0, 1], [1, 0, 3], [1, 2, 0], [3, 1, 0], [0, 1, 2]])
+
+
+def _hue_saturation(
+    F: np.ndarray, q: TernaryProb, params: PaletteParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """assign_color's hue and saturation for every row of F.
+
+    The same operations in the same order as numpy element-wise
+    arithmetic, with atan2, hypot, log and pow taken from ``math``,
+    because numpy's versions differ from libm in the last ulp for some
+    inputs.
+    """
+    qs = _positive_climatology(q)
+    tau = 2.0 * math.pi
+
+    # dominant_category
+    Q = _EQUILATERAL_MHAT @ q.as_array()
+    ref = -Q
+    if math.hypot(ref[0], ref[1]) <= _ZERO_RADIUS:
+        ref = -(_EQUILATERAL_MHAT @ np.full(3, 1.0 / 3.0))
+    V = F @ _EQUILATERAL_MHAT.T - Q
+    vx, vy = V[:, 0].tolist(), V[:, 1].tolist()
+    at_q = np.array(list(map(math.hypot, vx, vy))) <= _ZERO_RADIUS
+    angle = np.array(list(map(math.atan2, vy, vx)))
+    theta = np.where(at_q, 0.0, (math.atan2(ref[1], ref[0]) - angle) % tau)
+
+    # PaletteParams.hue_at
+    t = np.minimum(1.0, np.maximum(0.0, ((theta - params.theta0) % tau) / tau))
+    ts, hs = np.array(params.hue_anchors).T
+    k = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, len(ts) - 2)
+    hue = (hs[k] + (t - ts[k]) / (ts[k + 1] - ts[k]) * (hs[k + 1] - hs[k])) % 1.0
+
+    # information_gain, with 0*log(0) = 0 as log(1) = 0
+    ratio = np.where(F > 0.0, F / np.array(qs), 1.0)
+    terms = F * np.array(list(map(math.log, ratio.ravel().tolist()))).reshape(F.shape)
+    gain = (0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2]) / math.log(1.0 / min(qs))
+    gain = np.minimum(1.0, np.maximum(0.0, gain))
+    sat = np.minimum(1.0, np.array(list(map(pow, gain.tolist(), repeat(params.m, len(gain))))))
+    return hue, sat
+
+
+def hex_colors(
+    F: np.ndarray, q: TernaryProb, params: PaletteParams | None = None
+) -> list[str]:
+    """The #RRGGBB fill of every row of an (N, 3) forecast array.
+
+    Row for row equal to ``hsv_to_rgb(assign_color(p, q, params)).to_hex()``.
+    """
+    hue, sat = _hue_saturation(F, q, PaletteParams() if params is None else params)
+
+    # colorsys.hsv_to_rgb at value 1.0
+    h6 = hue * 6.0
+    sector = h6.astype(np.int64)
+    f = h6 - sector
+    channels = np.stack([np.ones_like(sat), 1.0 - sat, 1.0 - sat * f, 1.0 - sat * (1.0 - f)],
+                        axis=1)
+    rgb = np.take_along_axis(channels, _SECTOR_CHANNELS[sector % 6], axis=1)
+
+    # ColorRGB.to_hex
+    c = np.minimum(255, np.floor(rgb * 255.0 + 0.5).astype(np.int64))
+    return list(map("#{:06x}".format, ((c[:, 0] << 16) | (c[:, 1] << 8) | c[:, 2]).tolist()))
 
 
 class LegacyRegion(Enum):

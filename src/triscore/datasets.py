@@ -56,6 +56,14 @@ def _check_representation(ternary, gaussian, members) -> None:
     raise SchemaError("record carries no forecast representation")
 
 
+def check_lat_lon(lat: float, lon: float, where: str | None = None) -> None:
+    """SchemaError at ``where`` unless lat is in [-90, 90] and lon in [-180, 180]."""
+    if not (-90.0 <= lat <= 90.0):
+        raise SchemaError(f"lat = {lat} outside [-90, 90]", where)
+    if not (-180.0 <= lon <= 180.0):
+        raise SchemaError(f"lon = {lon} outside [-180, 180]", where)
+
+
 @dataclass(frozen=True)
 class ForecastRecord:
     """One located forecast with optional observation and climatology."""
@@ -71,10 +79,7 @@ class ForecastRecord:
 
     def __post_init__(self):
         _check_representation(self.ternary, self.gaussian, self.members)
-        if not (-90.0 <= self.lat <= 90.0):
-            raise SchemaError(f"lat = {self.lat} outside [-90, 90]")
-        if not (-180.0 <= self.lon <= 180.0):
-            raise SchemaError(f"lon = {self.lon} outside [-180, 180]")
+        check_lat_lon(self.lat, self.lon)
 
 
 @dataclass(frozen=True)
@@ -236,15 +241,26 @@ def _csv_float(cells: dict[str, str], name: str, where: str) -> float | None:
     return value
 
 
+def _csv_rows(text: str):
+    """(row number, cells) of every CSV row, numbered from 1; a
+    ``csv.Error`` becomes a SchemaError at the row it stopped in."""
+    rownum = 0
+    try:
+        for rownum, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+            yield rownum, row
+    except csv.Error as e:
+        raise SchemaError(f"malformed CSV: {e}", f"row {rownum + 1}") from None
+
+
 def parse_csv(data: bytes) -> Dataset:
     """Parse a CSV dataset; the climatology defaults to uniform.
 
     The header must name lat, lon and one forecast family (pB/pN/pA or
     mu/sigma/mu_c/sigma_c); obs and obs_value columns are optional.
     """
-    reader = csv.reader(io.StringIO(_decode(data)))
+    rows = _csv_rows(_decode(data))
     try:
-        header = next(reader)
+        _, header = next(rows)
     except StopIteration:
         raise SchemaError("empty CSV input") from None
     header = [h.strip() for h in header]
@@ -262,7 +278,7 @@ def parse_csv(data: bytes) -> Dataset:
         )
 
     records = []
-    for rownum, row in enumerate(reader, start=2):
+    for rownum, row in rows:
         where = f"row {rownum}"
         if not row or all(not cell.strip() for cell in row):
             continue

@@ -10,7 +10,9 @@ strings with channels rounded half-up.
 import math
 from dataclasses import dataclass, field
 
-from .colors import PaletteParams, assign_color, hsv_to_rgb
+import numpy as np
+
+from .colors import PaletteParams, assign_color, hex_colors, hsv_to_rgb
 from .datasets import Dataset, resolve_observation, resolve_records, resolve_ternary
 from .errors import DomainError, MissingVerificationHistory
 from .scoring import ScoringRule, brier_rule
@@ -18,9 +20,7 @@ from .simplex import TernaryProb, make_ternary
 from .verification import (
     BinnedStats,
     Decomposition,
-    ForecastObsPair,
-    bin_forecasts,
-    decompose,
+    decompose_by_group,
     decomposition_diagram_geometry,
     skill_radius,
 )
@@ -180,6 +180,28 @@ def _geo_projection(records, width, height, margin):
     return project
 
 
+def _skill_by_location(records, observations, F, config, rule) -> dict:
+    """skill_radius of each observed location's own decomposition; None
+    where it has fewer than ``min_pairs_for_circle`` pairs."""
+    loc_ids: dict[tuple[float, float], int] = {}
+    rows, obs_index, group = [], [], []
+    for i, (rec, obs) in enumerate(zip(records, observations)):
+        if obs is not None:
+            rows.append(i)
+            obs_index.append(obs.index)
+            group.append(loc_ids.setdefault((rec.lat, rec.lon), len(loc_ids)))
+    if not rows:
+        raise MissingVerificationHistory(
+            "skill circles requested but no record carries an observation"
+        )
+    group = np.array(group)
+    decomps = decompose_by_group(rule, F[rows], np.array(obs_index), group, config.nbins)
+    return {
+        loc: skill_radius(d) if n >= config.min_pairs_for_circle else None
+        for loc, d, n in zip(loc_ids, decomps, np.bincount(group).tolist())
+    }
+
+
 def render_forecast_map(
     dataset: Dataset,
     config: RenderConfig | None = None,
@@ -205,32 +227,18 @@ def render_forecast_map(
         raise MissingVerificationHistory("dataset has no records to draw")
     project = _geo_projection(records, config.width_px, config.height_px, 4 * config.cell_size_px)
 
-    skill_by_loc: dict[tuple[float, float], float | None] = {}
     if config.show_skill_circles:
         resolved = resolve_records(
             dataset, lambda rec, q: (resolve_observation(rec, q), resolve_ternary(rec, q))
         )
-        triples = [p for _, p in resolved]
-        by_loc: dict[tuple[float, float], list] = {}
-        for rec, (obs, p) in zip(records, resolved):
-            if obs is not None:
-                by_loc.setdefault((rec.lat, rec.lon), []).append(ForecastObsPair(p, obs))
-        if not by_loc:
-            raise MissingVerificationHistory(
-                "skill circles requested but no record carries an observation"
-            )
-        for loc, pairs in by_loc.items():
-            if len(pairs) < config.min_pairs_for_circle:
-                skill_by_loc[loc] = None
-            else:
-                skill_by_loc[loc] = skill_radius(decompose(rule, bin_forecasts(pairs, config.nbins)))
+        F = np.array([p.as_tuple() for _, p in resolved])
+        skill_by_loc = _skill_by_location(records, [obs for obs, _ in resolved], F, config, rule)
     else:
-        triples = resolve_records(dataset, resolve_ternary)
+        F = np.array([p.as_tuple() for p in resolve_records(dataset, resolve_ternary)])
 
     out: list[str] = []
     half = config.cell_size_px / 2.0
-    for rec, p in zip(records, triples):
-        color = _fill_color(p, dataset.q, config.palette)
+    for rec, color in zip(records, hex_colors(F, dataset.q, config.palette)):
         x, y = project(rec.lat, rec.lon)
         if config.show_skill_circles:
             skill = skill_by_loc.get((rec.lat, rec.lon))

@@ -86,21 +86,37 @@ def snap_to_lattice(p: TernaryProb, nbins: int) -> tuple[int, int, int]:
     return tuple(_snap(p.as_array()[None, :], nbins)[0].tolist())
 
 
+def _bin_arrays(
+    F: np.ndarray, obs: np.ndarray, group: np.ndarray, nbins: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rows of F by (group id, lattice point).
+
+    Returns each bin's group id, its lattice counts (nb, 3) and its
+    observed category counts (nb, 3), ordered by group id and then as
+    the (kB, kN, kA) tuples.
+    """
+    if not 1 <= nbins <= 2**31:  # so the lattice code below fits in int64
+        raise EmptyDataset(f"nbins = {nbins} must be between 1 and {2**31}")
+    keys = _snap(F, nbins)
+    code = keys[:, 0] * (nbins + 1) + keys[:, 1]  # ordered as the key tuples
+    order = np.lexsort((code, group))
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (np.diff(group[order]) != 0) | (np.diff(code[order]) != 0)
+    first = order[starts]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    obs_counts = np.bincount(3 * inverse + obs, minlength=3 * len(first)).reshape(-1, 3)
+    return group[first], keys[first], obs_counts
+
+
 def bin_forecasts(pairs: list[ForecastObsPair], nbins: int = 11) -> BinnedStats:
     """Group pairs by the lattice point nearest to each forecast."""
     if not pairs:
         raise EmptyDataset("no forecast-observation pairs to bin")
-    if not 1 <= nbins <= 2**31:  # so the lattice code below fits in int64
-        raise EmptyDataset(f"nbins = {nbins} must be between 1 and {2**31}")
     F, obs = _pair_arrays(pairs)
-    keys = _snap(F, nbins)
-    # one code per lattice point, ordered as the (kB, kN, kA) tuples
-    _, first, inverse = np.unique(
-        keys[:, 0] * (nbins + 1) + keys[:, 1], return_index=True, return_inverse=True
-    )
-    obs_counts = np.bincount(3 * inverse + obs, minlength=3 * len(first)).reshape(-1, 3)
+    _, keys, obs_counts = _bin_arrays(F, obs, np.zeros(len(F), dtype=np.int64), nbins)
     bins = []
-    for key, counts in zip(keys[first].tolist(), obs_counts):
+    for key, counts in zip(keys.tolist(), obs_counts):
         total = int(counts.sum())
         center = make_ternary(key[0] / nbins, key[1] / nbins, key[2] / nbins)
         mean_obs = make_ternary(*(counts / total))
@@ -144,33 +160,73 @@ class Decomposition:
         return abs(self.S - (self.U - self.Z + self.R))
 
 
-def decompose(rule: ScoringRule, binned: BinnedStats) -> Decomposition:
-    """Murphy decomposition of the binned mean score.
+def _decompose_bins(
+    rule: ScoringRule,
+    group: np.ndarray,
+    counts: np.ndarray,
+    centers: np.ndarray,
+    freqs: np.ndarray,
+) -> list[Decomposition]:
+    """One Decomposition per group id 0..G-1 of the bins; every id has bins.
 
     Within each bin the observation distribution over the three corners
-    is exactly the bin's mean observation, so S, Z and R reduce to
-    count-weighted sums of squared plane distances between lattice
-    centers, corner observations, conditional means and the overall
-    mean observation; U is the uncertainty of that overall mean.
+    is exactly the bin's mean observation ``freqs``, so S, Z and R
+    reduce to count-weighted sums of squared plane distances between
+    lattice ``centers``, corner observations, conditional means and the
+    group's mean observation; U is the uncertainty of that group mean.
     """
-    if not binned.bins:
-        raise EmptyDataset("no bins to decompose")
-    counts = np.array([b.count for b in binned.bins], dtype=float)
-    centers = np.array([b.center.as_tuple() for b in binned.bins])
-    freqs = np.array([b.mean_obs.as_tuple() for b in binned.bins])
-    n_total = counts.sum()
-    q_bar_vec = counts @ freqs / n_total
+    counts = counts.astype(float)
+    n = np.bincount(group, weights=counts)
 
+    def mean(x: np.ndarray) -> np.ndarray:
+        return np.bincount(group, weights=counts * x) / n
+
+    q_bar = np.stack([mean(freqs[:, j]) for j in range(3)], axis=1)
     Mhat = rule.Mhat
     P = centers @ Mhat.T
     O = freqs @ Mhat.T
-    Qb = Mhat @ q_bar_vec
+    Qb = (q_bar @ Mhat.T)[group]
     to_corners = ((P[:, None, :] - Mhat.T[None, :, :]) ** 2).sum(axis=2)
-    S = float(counts @ (freqs * to_corners).sum(axis=1)) / n_total
-    Z = float(counts @ ((Qb - O) ** 2).sum(axis=1)) / n_total
-    R = float(counts @ ((P - O) ** 2).sum(axis=1)) / n_total
-    q_bar = make_ternary(*q_bar_vec)
-    return Decomposition(S, uncertainty(rule, q_bar), Z, R, q_bar)
+    S = mean((freqs * to_corners).sum(axis=1))
+    Z = mean(((Qb - O) ** 2).sum(axis=1))
+    R = mean(((P - O) ** 2).sum(axis=1))
+    out = []
+    for s, z, r, qb in zip(S.tolist(), Z.tolist(), R.tolist(), q_bar.tolist()):
+        q = make_ternary(*qb)
+        out.append(Decomposition(s, uncertainty(rule, q), z, r, q))
+    return out
+
+
+def decompose(rule: ScoringRule, binned: BinnedStats) -> Decomposition:
+    """Murphy decomposition of the binned mean score."""
+    if not binned.bins:
+        raise EmptyDataset("no bins to decompose")
+    counts = np.array([b.count for b in binned.bins])
+    centers = np.array([b.center.as_tuple() for b in binned.bins])
+    freqs = np.array([b.mean_obs.as_tuple() for b in binned.bins])
+    return _decompose_bins(rule, np.zeros(len(counts), dtype=np.int64), counts, centers, freqs)[0]
+
+
+def decompose_by_group(
+    rule: ScoringRule, F: np.ndarray, obs: np.ndarray, group: np.ndarray, nbins: int = 11
+) -> list[Decomposition]:
+    """The decomposition of each group of forecast-observation pairs.
+
+    ``F`` holds the forecasts as an (N, 3) array, ``obs`` the observed
+    category indices and ``group`` integer ids 0..G-1, each used at
+    least once.  Element g equals, up to summation order,
+    ``decompose(rule, bin_forecasts(<the pairs of group g>, nbins))``.
+    """
+    sizes = np.bincount(group)
+    if not len(sizes) or not sizes.all():
+        raise EmptyDataset("every group id 0..G-1 needs at least one pair")
+    bin_group, keys, obs_counts = _bin_arrays(F, obs, group, nbins)
+    counts = obs_counts.sum(axis=1)
+    # as bin_forecasts' Bin centres and mean observations, which
+    # make_ternary returns unchanged (their sums are within 1e-15 of 1)
+    centers = keys / nbins
+    freqs = obs_counts / counts[:, None]
+    return _decompose_bins(rule, bin_group, counts, centers, freqs)
 
 
 def skill_radius(d: Decomposition) -> float | None:

@@ -359,6 +359,44 @@ class TestRenderCommands:
         assert result.exit_code == 0, result.output
         assert b"<polyline" in out_path.read_bytes()
 
+    @pytest.mark.parametrize("circles, want", [(False, 240), (True, 12)],
+                             ids=["cells", "circles"])
+    def test_render_map_counts_what_it_draws(self, runner, dataset_json, tmp_path,
+                                             circles, want):
+        out_path = tmp_path / "map.svg"
+        args = ["render-map", "-i", dataset_json, "-o", str(out_path)]
+        out = run_json(runner, args + ["--show-skill-circles"] * circles)
+        assert out["n_records"] == 240
+        main_layer = out_path.read_bytes().split(b'<g id="legend">')[0]
+        assert out["n_drawn"] == main_layer.count(b"<circle" if circles else b"<rect") == want
+
+    @pytest.mark.parametrize("overlay, where", [
+        ("[[[1e400, 0], [0, 0]]]", "overlay[0][0][0] must be a finite number"),
+        ("[[[0, 0]], [[NaN, 1], [1, 1]]]", "overlay[1][0][0] must be a finite number"),
+        ('[[["5", 0], [0, 0]]]', "overlay[0][0][0] must be a finite number"),
+        ("[[[0, 0], [0, true]]]", "overlay[0][1][1] must be a finite number"),
+        ("[[[0, 0], [91, 0]]]", "overlay[0][1]: lat = 91.0 outside"),
+        ("[[[0, -180.5]]]", "overlay[0][0]: lon = -180.5 outside"),
+        ("[[[0, 0, 0]]]", "overlay[0][0]: point must be a [lat, lon] pair"),
+        ('{"lines": []}', "overlay must be a JSON array of polylines"),
+    ], ids=["infinite", "nan", "string", "boolean", "lat-range", "lon-range", "triple",
+            "object"])
+    def test_bad_overlay_is_schema_error(self, runner, dataset_json, tmp_path, overlay,
+                                         where):
+        path = tmp_path / "coast.json"
+        path.write_text(overlay)
+        result = runner.invoke(main, ["render-map", "-i", dataset_json, "-o",
+                                      str(tmp_path / "map.svg"), "--overlay", str(path)])
+        assert_fails_cleanly(result, 2)
+        assert result.stderr.startswith(f"error: {where}")
+
+    def test_malformed_csv_is_schema_error(self, runner, tmp_path):
+        big = tmp_path / "big.csv"
+        big.write_text('lat,lon,pB,pN,pA,obs\n0,0,"' + "1" * 200_000 + '",0,0,B\n')
+        result = runner.invoke(main, ["score", "-i", str(big)])
+        assert_fails_cleanly(result, 2)
+        assert result.stderr.startswith("error: row 2: malformed CSV")
+
     def test_render_reliability(self, runner, dataset_csv, tmp_path):
         out_path = tmp_path / "rel.svg"
         result = runner.invoke(main, [

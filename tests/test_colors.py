@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triscore import (
     ColorHSV,
@@ -10,11 +13,13 @@ from triscore import (
     UNIFORM,
     assign_color,
     dominant_category,
+    hex_colors,
     hsv_to_rgb,
     information_gain,
     legacy_region,
     make_ternary,
 )
+from triscore.colors import _hue_saturation
 from triscore.errors import ChannelOutOfRange, DegenerateClimatology
 
 from conftest import simplex_grid
@@ -231,3 +236,87 @@ class TestIdentifiability:
             while j < len(seen) and seen[j][0] - h < 1e-6:
                 assert abs(seen[j][1] - s) >= 1e-6
                 j += 1
+
+
+_unit = st.floats(0.0, 1.0)
+_positive_q = st.tuples(*[st.floats(1e-3, 1.0)] * 3).map(lambda w: make_ternary(*(x / sum(w) for x in w)))
+
+
+def _lattice_point(n):
+    return st.integers(0, n).flatmap(
+        lambda i: st.integers(0, n - i).map(lambda j: (i / n, j / n, (n - i - j) / n))
+    )
+
+
+@st.composite
+def _anchor_tables(draw):
+    """Strictly increasing positions from 0 to 1; the last hue is the
+    first one, or one more (the first is a multiple of 1/64, so that the
+    difference is exact)."""
+    inner = sorted(set(draw(st.lists(st.floats(0.01, 0.99), max_size=5))))
+    first = draw(st.integers(0, 63)) / 64
+    hues = draw(st.lists(_unit, min_size=len(inner), max_size=len(inner)))
+    last = first + draw(st.sampled_from((0.0, 1.0)))
+    return tuple(zip([0.0, *inner, 1.0], [first, *hues, last]))
+
+
+@st.composite
+def _coloring_cases(draw):
+    """A climatology, palette parameters and forecasts including the
+    climatology itself, corners, points with zero components and lattice
+    points."""
+    q = draw(st.one_of(st.just(UNIFORM), _positive_q))
+    params = PaletteParams(
+        m=draw(st.floats(0.05, 5.0)),
+        theta0=draw(st.one_of(st.just(0.0), st.floats(-10.0, 10.0))),
+        hue_anchors=draw(st.one_of(st.just(PaletteParams().hue_anchors), _anchor_tables())),
+    )
+    forecast = st.one_of(
+        st.just(q.as_tuple()),
+        st.sampled_from(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))),
+        _unit.flatmap(lambda a: st.permutations((a, 1.0 - a, 0.0))).map(tuple),
+        st.integers(1, 40).flatmap(_lattice_point),
+        st.tuples(_unit, _unit, _unit).filter(lambda w: sum(w) > 0.0).map(
+            lambda w: tuple(x / sum(w) for x in w)),
+    )
+    rows = draw(st.lists(forecast, min_size=1, max_size=40))
+    return q, params, [make_ternary(*p) for p in rows]
+
+
+class TestBatchColors:
+    """hex_colors against the scalar colour functions, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_coloring_cases())
+    def test_matches_scalar(self, case):
+        q, params, forecasts = case
+        F = np.array([p.as_tuple() for p in forecasts])
+        hue, sat = _hue_saturation(F, q, params)
+        want = [assign_color(p, q, params) for p in forecasts]
+        assert hue.tolist() == [c.hue for c in want]
+        assert sat.tolist() == [c.saturation for c in want]
+        assert hex_colors(F, q, params) == [hsv_to_rgb(c).to_hex() for c in want]
+
+    def test_grid_and_random_forecasts(self, rng):
+        # enough random rows that a last-ulp difference in a log, atan2 or
+        # pow would show in some saturation or hue
+        forecasts = simplex_grid(60) + [make_ternary(*r) for r in rng.dirichlet((1, 1, 1), 20000)]
+        F = np.array([p.as_tuple() for p in forecasts])
+        params = PaletteParams()
+        for q in (UNIFORM, make_ternary(0.25, 0.5, 0.25), make_ternary(0.1, 0.2, 0.7)):
+            want = [assign_color(p, q, params) for p in forecasts]
+            hue, sat = _hue_saturation(F, q, params)
+            assert hue.tolist() == [c.hue for c in want]
+            assert sat.tolist() == [c.saturation for c in want]
+            assert hex_colors(F, q) == [hsv_to_rgb(c).to_hex() for c in want]
+
+    def test_hue_of_exactly_one_wraps_to_red(self):
+        # a tiny negative hue is 1.0 after "% 1.0"; colorsys takes sector 6 as 0
+        params = PaletteParams(hue_anchors=((0.0, -1e-20), (1.0, -1e-20)))
+        F = np.array([B.as_tuple(), N.as_tuple()])
+        assert _hue_saturation(F, UNIFORM, params)[0].tolist() == [1.0, 1.0]
+        assert hex_colors(F, UNIFORM, params) == ["#ff0000", "#ff0000"]
+
+    def test_rejects_degenerate_climatology(self):
+        with pytest.raises(DegenerateClimatology):
+            hex_colors(np.array([UNIFORM.as_tuple()]), make_ternary(0.5, 0.5, 0.0))

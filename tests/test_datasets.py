@@ -100,6 +100,17 @@ class TestParseCsv:
             parse_csv(csv_bytes("lat,lon,pB,pN,pA", "0,0,abc,0,1"))
         assert "pB" in str(err.value)
 
+    @pytest.mark.parametrize("lines, where", [
+        (("lat,lon,pB,pN,pA", '0,0,"' + "1" * 200_000 + '",0,0'), "row 2: malformed CSV"),
+        (('lat,lon,"' + "x" * 200_000 + '"', "0,0"), "row 1: malformed CSV"),
+        (("lat,lon,pB,pN,pA", "0,0,1,0,0", '0,1,"' + "1" * 200_000 + '",0,0'),
+         "row 3: malformed CSV"),
+    ], ids=["field-too-large", "header-too-large", "third-row"])
+    def test_csv_error_is_schema_error(self, lines, where):
+        with pytest.raises(SchemaError) as err:
+            parse_csv(csv_bytes(*lines))
+        assert str(err.value).startswith(where)
+
     def test_blank_lines_skipped(self):
         ds = parse_csv(csv_bytes("lat,lon,pB,pN,pA", "0,0,1,0,0", "", "1,0,0,1,0"))
         assert len(ds.records) == 2

@@ -247,7 +247,7 @@ class TestReliabilityDiagram:
 
 
 class TestGoldenFiles:
-    """Byte-for-byte stability of the three document types."""
+    """Byte-for-byte stability of the document types."""
 
     def test_legend_golden(self):
         got = render_palette_legend(UNIFORM, PaletteParams(), 16)
@@ -257,6 +257,15 @@ class TestGoldenFiles:
         config = RenderConfig(show_skill_circles=True, min_pairs_for_circle=10)
         got = render_forecast_map(frozen_dataset(), config)
         assert got == (GOLDEN / "map_circles.svg").read_bytes()
+
+    @pytest.mark.parametrize("name, q, params", [
+        ("map_cells.svg", UNIFORM, PaletteParams()),
+        ("map_cells_q.svg", make_ternary(0.25, 0.5, 0.25), PaletteParams(m=1.3, theta0=1.0)),
+    ], ids=["uniform", "q-rotated"])
+    def test_cell_map_golden(self, name, q, params):
+        ds = Dataset(records=frozen_dataset().records, q=q)
+        got = render_forecast_map(ds, RenderConfig(palette=params))
+        assert got == (GOLDEN / name).read_bytes()
 
     def test_reliability_golden(self):
         ds = frozen_dataset()

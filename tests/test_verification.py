@@ -16,6 +16,7 @@ from triscore import (
     brier_rule,
     custom_rule,
     decompose,
+    decompose_by_group,
     decomposition_diagram_geometry,
     make_ternary,
     rps_rule,
@@ -219,6 +220,67 @@ class TestArrayMatchesReference:
             d = decompose(rule, binned)
             want = decompose_reference(rule, binned)
             assert np.max(np.abs(np.array([d.S, d.U, d.Z, d.R]) - want)) <= 1e-12
+
+
+@st.composite
+def _grouped_cases(draw):
+    """A binning case whose pairs are split into groups with ids 0..G-1."""
+    nbins, pairs = draw(_binning_cases())
+    labels = draw(st.lists(st.integers(0, 4), min_size=len(pairs), max_size=len(pairs)))
+    return nbins, pairs, np.unique(labels, return_inverse=True)[1]
+
+
+def _sign(skill):
+    return None if skill is None else np.sign(skill)
+
+
+def assert_matches_per_group(rule, pairs, group, nbins):
+    F = np.array([p.forecast.as_tuple() for p in pairs])
+    obs = np.array([p.obs.index for p in pairs])
+    got = decompose_by_group(rule, F, obs, group, nbins)
+    assert len(got) == group.max() + 1
+    for g, d in enumerate(got):
+        members = [p for p, k in zip(pairs, group) if k == g]
+        binned = bin_forecasts(members, nbins)
+        assert binned == bin_reference(members, nbins)
+        want = decompose(rule, binned)
+        terms = np.array([d.S, d.U, d.Z, d.R])
+        assert np.max(np.abs(terms - [want.S, want.U, want.Z, want.R])) <= 1e-15
+        assert np.max(np.abs(terms - decompose_reference(rule, binned))) <= 1e-12
+        assert np.max(np.abs(d.q_bar.as_array() - want.q_bar.as_array())) <= 1e-15
+        assert _sign(skill_radius(d)) == _sign(skill_radius(want))
+
+
+class TestGroupedDecomposition:
+    """decompose_by_group against per-group decompose(bin_forecasts(...))."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_grouped_cases(), st.integers(0, 2**32 - 1))
+    def test_matches_per_group(self, case, seed):
+        nbins, pairs, group = case
+        for rule in (brier_rule(), rps_rule(), *random_pd_rules(np.random.default_rng(seed), 2)):
+            assert_matches_per_group(rule, pairs, group, nbins)
+
+    def test_many_locations(self, rng, brier):
+        pairs = categorical_pairs(rng, 2000, sharpen=1.5)
+        assert_matches_per_group(brier, pairs, rng.integers(0, 100, size=2000), 11)
+
+    def test_finest_lattice(self, rng, brier):
+        pairs = categorical_pairs(rng, 60) + [pair((0.5, 0.5, 0.0), B)] * 2
+        group = np.arange(len(pairs)) % 3
+        assert_matches_per_group(brier, pairs, group, 2**31)
+        F = np.array([p.forecast.as_tuple() for p in pairs])
+        obs = np.array([p.obs.index for p in pairs])
+        for nbins in (0, 2**31 + 1):
+            with pytest.raises(EmptyDataset):
+                decompose_by_group(brier, F, obs, group, nbins)
+
+    def test_rejects_unused_group_id(self, brier):
+        F = np.array([UNIFORM.as_tuple()] * 2)
+        for group in ([0, 2], []):
+            with pytest.raises(EmptyDataset):
+                decompose_by_group(brier, F[:len(group)], np.zeros(len(group), dtype=int),
+                                   np.array(group, dtype=int))
 
 
 class TestDecompose:
