@@ -99,10 +99,9 @@ def _palette_from(m: float, theta0: float, anchors: str | None) -> PaletteParams
     if anchors is None:
         return PaletteParams(m=m, theta0=theta0)
     doc = load_json(anchors, "invalid hue anchor list")
-    try:
-        table = tuple((float(t), float(h)) for t, h in doc)
-    except (ValueError, TypeError) as e:
-        raise SchemaError(f"invalid hue anchor list: {e}") from None
+    if not (isinstance(doc, list) and all(isinstance(a, list) and len(a) == 2 for a in doc)):
+        raise SchemaError("hue anchor list must be a JSON array of [t, hue] pairs")
+    table = tuple(json_floats(a, f"anchors[{i}]") for i, a in enumerate(doc))
     return PaletteParams(m=m, theta0=theta0, hue_anchors=table)
 
 
@@ -122,7 +121,7 @@ def _decomposition_summary(decomp: Decomposition, binned: BinnedStats) -> dict:
         "sqrtR": decomp.sqrt_R,
         "q_bar": list(decomp.q_bar.as_tuple()),
         "n_pairs": binned.n_pairs,
-        "n_bins": len(binned.bins),
+        "n_bins": len(binned.keys),
     }
 
 
@@ -340,12 +339,11 @@ def render_reliability(input_path, output_path, score_rule, nbins, threshold, wi
     rule = _rule_by_name(score_rule)
     binned = bin_forecasts(pairs, nbins)
     decomp = decompose(rule, binned)
-    config = RenderConfig(width_px=width, height_px=height,
-                          dipole_threshold=threshold, nbins=nbins)
+    config = RenderConfig(width_px=width, height_px=height, dipole_threshold=threshold)
     data = render_reliability_diagram(binned, decomp, config)
     _write_bytes(output_path, data)
-    shown = sum(1 for b in binned.bins if b.count >= threshold)
-    click.echo(json.dumps({"output": output_path, "n_bins": len(binned.bins),
+    shown = int((binned.obs_counts.sum(axis=1) >= threshold).sum())
+    click.echo(json.dumps({"output": output_path, "n_bins": len(binned.keys),
                            "n_dipoles": shown}, indent=2))
 
 

@@ -61,12 +61,15 @@ class PaletteParams:
         if not math.isfinite(self.theta0):
             raise ChannelOutOfRange(f"palette rotation theta0 = {self.theta0} must be finite")
         anchors = tuple((float(t), float(h)) for t, h in self.hue_anchors)
+        if not all(math.isfinite(x) for anchor in anchors for x in anchor):
+            raise ChannelOutOfRange("hue anchors must be finite")
         if len(anchors) < 2 or anchors[0][0] != 0.0 or anchors[-1][0] != 1.0:
             raise ChannelOutOfRange("hue anchors must start at t=0 and end at t=1")
         ts = [t for t, _ in anchors]
         if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
             raise ChannelOutOfRange("hue anchor positions must be strictly increasing")
-        if abs((anchors[-1][1] - anchors[0][1]) % 1.0) > 1e-9:
+        turns = anchors[-1][1] - anchors[0][1]
+        if not (math.isfinite(turns) and abs(turns - round(turns)) <= 1e-9):
             raise ChannelOutOfRange("hue at t=1 must equal hue at t=0 modulo 1")
         object.__setattr__(self, "hue_anchors", anchors)
 

@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
     TriscoreError,
 )
-from .gaussian import scale_params, gaussian_to_ternary, std_normal_quantile
+from .gaussian import _climatology_z, gaussian_to_ternary, scale_params
 from .simplex import (
     CategoryThresholds,
     ObsCategory,
@@ -109,10 +109,8 @@ def _record_thresholds(record: ForecastRecord, q: TernaryProb) -> CategoryThresh
         return empirical_quantiles(list(record.series), q)
     if record.gaussian is not None:
         _, _, mu_c, sigma_c = record.gaussian
-        return CategoryThresholds(
-            mu_c + sigma_c * std_normal_quantile(q.pB),
-            mu_c + sigma_c * std_normal_quantile(q.pB + q.pN),
-        )
+        zB, zA = _climatology_z(q)
+        return CategoryThresholds(mu_c + sigma_c * zB, mu_c + sigma_c * zA)
     raise MissingClimatologySeries(
         "cannot categorise a raw observed value without a climatology series"
     )

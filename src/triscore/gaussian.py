@@ -67,6 +67,15 @@ def std_normal_quantile(u: float) -> float:
     return _STD_NORMAL.inv_cdf(u)
 
 
+def _climatology_z(q: TernaryProb) -> tuple[float, float]:
+    """Standard-normal quantiles (zB, zA) of the climatology's thresholds."""
+    if q.pB <= 0.0 or q.pB + q.pN >= 1.0:
+        raise DegenerateClimatology(
+            f"climatology ({q.pB}, {q.pN}, {q.pA}) leaves no interior thresholds"
+        )
+    return std_normal_quantile(q.pB), std_normal_quantile(q.pB + q.pN)
+
+
 def gaussian_to_ternary(g: GaussianScaled, q: TernaryProb) -> TernaryProb:
     """Project a scaled Gaussian forecast onto the climatology's categories.
 
@@ -75,12 +84,7 @@ def gaussian_to_ternary(g: GaussianScaled, q: TernaryProb) -> TernaryProb:
     even when the forecast is many standard deviations from a
     threshold.
     """
-    if q.pB <= 0.0 or q.pB + q.pN >= 1.0:
-        raise DegenerateClimatology(
-            f"climatology ({q.pB}, {q.pN}, {q.pA}) leaves no interior thresholds"
-        )
-    zB = std_normal_quantile(q.pB)
-    zA = std_normal_quantile(q.pB + q.pN)
+    zB, zA = _climatology_z(q)
     aB = (zB - g.mu_hat) / g.sigma_hat
     aA = (zA - g.mu_hat) / g.sigma_hat
     pB = std_normal_cdf(aB)
@@ -104,10 +108,7 @@ def ternary_to_gaussian(p: TernaryProb, q: TernaryProb) -> GaussianScaled:
         sigma_hat = (zA - zB) / (wA - wB)
         mu_hat    = zB - sigma_hat * wB
     """
-    if q.pB <= 0.0 or q.pB + q.pN >= 1.0:
-        raise DegenerateClimatology(
-            f"climatology ({q.pB}, {q.pN}, {q.pA}) leaves no interior thresholds"
-        )
+    zB, zA = _climatology_z(q)
     # quantiles are taken on whichever of the cumulative probability and
     # its complement is smaller, so near-one values (stored to full
     # relative precision in the other two components) invert cleanly
@@ -115,8 +116,6 @@ def ternary_to_gaussian(p: TernaryProb, q: TernaryProb) -> GaussianScaled:
     wA = _split_quantile(p.pB + p.pN, p.pA, "pB + pN")
     if not wA > wB:
         raise NotInvertible("pN = 0: forecast carries no central mass")
-    zB = std_normal_quantile(q.pB)
-    zA = std_normal_quantile(q.pB + q.pN)
     sigma_hat = (zA - zB) / (wA - wB)
     mu_hat = zB - sigma_hat * wB
     return GaussianScaled(mu_hat, sigma_hat)

@@ -25,8 +25,8 @@ from .verification import (
     BinnedStats,
     Decomposition,
     ForecastObsPair,
+    _binned,
     _pair_arrays,
-    bin_forecasts,
     decompose,
 )
 
@@ -96,13 +96,13 @@ _BASE = np.array([0.0, 1.0, 0.0])
 _J = np.array([[1.0, 0.0], [-1.0, -1.0], [0.0, 1.0]])
 
 
-def _assemble(pairs: list[ForecastObsPair], rule: ScoringRule) -> tuple[np.ndarray, np.ndarray]:
-    """Stack the 2N x 12 linear system whose residual is Mhat(p~ - o); p~ - o
-    sums to zero, so the residual's squared length is its score."""
-    F, obs = _pair_arrays(pairs)
+def _assemble(F: np.ndarray, obs: np.ndarray, rule: ScoringRule) -> tuple[np.ndarray, np.ndarray]:
+    """Stack the 2N x 12 linear system, for forecasts F (N, 3) and observed
+    category indices obs, whose residual is Mhat(p~ - o); p~ - o sums to
+    zero, so the residual's squared length is its score."""
     features = np.column_stack(np.broadcast_arrays(*_features(F[:, 0], F[:, 2])))
     MJ = rule.Mhat @ _J
-    design = (MJ[None, :, :, None] * features[:, None, None, :]).reshape(2 * len(pairs), 12)
+    design = (MJ[None, :, :, None] * features[:, None, None, :]).reshape(2 * len(F), 12)
     target = (np.eye(3)[obs] - _BASE) @ rule.Mhat.T
     return design, target.ravel()
 
@@ -118,7 +118,7 @@ def fit_map(pairs: list[ForecastObsPair], rule: ScoringRule) -> QuadraticMap:
     """
     if not pairs:
         raise EmptyDataset("no pairs to fit a recalibration map on")
-    design, target = _assemble(pairs, rule)
+    design, target = _assemble(*_pair_arrays(pairs), rule)
     coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
     identity = np.asarray(IDENTITY_COEFFS)
     if _mean_score(coeffs, design, target) > _mean_score(identity, design, target):
@@ -132,7 +132,7 @@ def mean_score_of_map(
     """Mean quadratic score of the (unclipped) mapped forecasts."""
     if not pairs:
         raise EmptyDataset("no pairs to score")
-    design, target = _assemble(pairs, rule)
+    design, target = _assemble(*_pair_arrays(pairs), rule)
     return _mean_score(np.asarray(mapping.coeffs), design, target)
 
 
@@ -163,24 +163,17 @@ def recalibration_report(
     """
     if not pairs:
         raise EmptyDataset("no pairs to report on")
-    mapped_pairs = []
-    n_off = 0
-    for pair in pairs:
-        res = apply_map(mapping, pair.forecast, clip=True)
-        if not res.on_simplex:
-            n_off += 1
-        mapped_pairs.append(ForecastObsPair(res.to_ternary(), pair.obs))
-    binned_before = bin_forecasts(pairs, nbins)
-    binned_after = bin_forecasts(mapped_pairs, nbins)
-    before = decompose(rule, binned_before)
-    after = decompose(rule, binned_after)
-    design, target = _assemble(pairs, rule)
+    F, obs = _pair_arrays(pairs)
+    mapped = [apply_map(mapping, pair.forecast, clip=True) for pair in pairs]
+    binned_before = _binned(F, obs, nbins)
+    binned_after = _binned(np.array([res.to_ternary().as_tuple() for res in mapped]), obs, nbins)
+    design, target = _assemble(F, obs, rule)
     return CalibrationReport(
-        before=before,
-        after=after,
+        before=decompose(rule, binned_before),
+        after=decompose(rule, binned_after),
         binned_before=binned_before,
         binned_after=binned_after,
         mean_score_before=_mean_score(np.asarray(IDENTITY_COEFFS), design, target),
         mean_score_after=_mean_score(np.asarray(mapping.coeffs), design, target),
-        n_off_simplex=n_off,
+        n_off_simplex=sum(not res.on_simplex for res in mapped),
     )

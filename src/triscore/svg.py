@@ -293,7 +293,7 @@ def _all_lattice_points(nbins: int):
 
 
 def _sharpness_inset(out: list[str], binned: BinnedStats, box: _Box) -> None:
-    counts = {b.key: b.count for b in binned.bins}
+    counts = dict(zip(map(tuple, binned.keys.tolist()), binned.obs_counts.sum(axis=1).tolist()))
     max_count = max(counts.values()) if counts else 1
     radius = box.edge / (2.0 * binned.nbins) if binned.nbins > 0 else box.edge / 2.0
     for key in _all_lattice_points(binned.nbins):

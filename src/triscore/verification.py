@@ -42,16 +42,30 @@ class Bin:
     key: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinnedStats:
-    """Forecast-observation pairs grouped on the simplex lattice."""
+    """Forecast-observation pairs grouped on the simplex lattice: each bin's
+    lattice counts ``keys`` and observed category counts ``obs_counts``,
+    both (nb, 3) integer arrays ordered as the (kB, kN, kA) tuples."""
 
-    bins: tuple[Bin, ...]
+    keys: np.ndarray
+    obs_counts: np.ndarray
     nbins: int
 
     @property
     def n_pairs(self) -> int:
-        return sum(b.count for b in self.bins)
+        return int(self.obs_counts.sum())
+
+    @property
+    def bins(self) -> tuple[Bin, ...]:
+        """The bins as :class:`Bin` values."""
+        n = self.nbins
+        bins = []
+        for key, counts in zip(self.keys.tolist(), self.obs_counts):
+            total = int(counts.sum())
+            center = make_ternary(key[0] / n, key[1] / n, key[2] / n)
+            bins.append(Bin(center, total, make_ternary(*(counts / total)), tuple(key)))
+        return tuple(bins)
 
 
 def _pair_arrays(pairs: list[ForecastObsPair]) -> tuple[np.ndarray, np.ndarray]:
@@ -109,19 +123,17 @@ def _bin_arrays(
     return group[first], keys[first], obs_counts
 
 
+def _binned(F: np.ndarray, obs: np.ndarray, nbins: int) -> BinnedStats:
+    """The rows of F and their observed category indices, binned."""
+    _, keys, obs_counts = _bin_arrays(F, obs, np.zeros(len(F), dtype=np.int64), nbins)
+    return BinnedStats(keys, obs_counts, nbins)
+
+
 def bin_forecasts(pairs: list[ForecastObsPair], nbins: int = 11) -> BinnedStats:
     """Group pairs by the lattice point nearest to each forecast."""
     if not pairs:
         raise EmptyDataset("no forecast-observation pairs to bin")
-    F, obs = _pair_arrays(pairs)
-    _, keys, obs_counts = _bin_arrays(F, obs, np.zeros(len(F), dtype=np.int64), nbins)
-    bins = []
-    for key, counts in zip(keys.tolist(), obs_counts):
-        total = int(counts.sum())
-        center = make_ternary(key[0] / nbins, key[1] / nbins, key[2] / nbins)
-        mean_obs = make_ternary(*(counts / total))
-        bins.append(Bin(center, total, mean_obs, tuple(key)))
-    return BinnedStats(tuple(bins), nbins)
+    return _binned(*_pair_arrays(pairs), nbins)
 
 
 @dataclass(frozen=True)
@@ -161,21 +173,20 @@ class Decomposition:
 
 
 def _decompose_bins(
-    rule: ScoringRule,
-    group: np.ndarray,
-    counts: np.ndarray,
-    centers: np.ndarray,
-    freqs: np.ndarray,
+    rule: ScoringRule, group: np.ndarray, keys: np.ndarray, obs_counts: np.ndarray, nbins: int
 ) -> list[Decomposition]:
     """One Decomposition per group id 0..G-1 of the bins; every id has bins.
 
     Within each bin the observation distribution over the three corners
-    is exactly the bin's mean observation ``freqs``, so S, Z and R
-    reduce to count-weighted sums of squared plane distances between
-    lattice ``centers``, corner observations, conditional means and the
-    group's mean observation; U is the uncertainty of that group mean.
+    is exactly the bin's mean observation ``obs_counts / count``, so S,
+    Z and R reduce to count-weighted sums of squared plane distances
+    between lattice centres ``keys / nbins``, corner observations,
+    conditional means and the group's mean observation; U is the
+    uncertainty of that group mean.
     """
-    counts = counts.astype(float)
+    counts = obs_counts.sum(axis=1)
+    centers = keys / nbins
+    freqs = obs_counts / counts[:, None]
     n = np.bincount(group, weights=counts)
 
     def mean(x: np.ndarray) -> np.ndarray:
@@ -199,12 +210,11 @@ def _decompose_bins(
 
 def decompose(rule: ScoringRule, binned: BinnedStats) -> Decomposition:
     """Murphy decomposition of the binned mean score."""
-    if not binned.bins:
+    nb = len(binned.keys)
+    if not nb:
         raise EmptyDataset("no bins to decompose")
-    counts = np.array([b.count for b in binned.bins])
-    centers = np.array([b.center.as_tuple() for b in binned.bins])
-    freqs = np.array([b.mean_obs.as_tuple() for b in binned.bins])
-    return _decompose_bins(rule, np.zeros(len(counts), dtype=np.int64), counts, centers, freqs)[0]
+    group = np.zeros(nb, dtype=np.int64)
+    return _decompose_bins(rule, group, binned.keys, binned.obs_counts, binned.nbins)[0]
 
 
 def decompose_by_group(
@@ -220,13 +230,7 @@ def decompose_by_group(
     sizes = np.bincount(group)
     if not len(sizes) or not sizes.all():
         raise EmptyDataset("every group id 0..G-1 needs at least one pair")
-    bin_group, keys, obs_counts = _bin_arrays(F, obs, group, nbins)
-    counts = obs_counts.sum(axis=1)
-    # as bin_forecasts' Bin centres and mean observations, which
-    # make_ternary returns unchanged (their sums are within 1e-15 of 1)
-    centers = keys / nbins
-    freqs = obs_counts / counts[:, None]
-    return _decompose_bins(rule, bin_group, counts, centers, freqs)
+    return _decompose_bins(rule, *_bin_arrays(F, obs, group, nbins), nbins)
 
 
 def skill_radius(d: Decomposition) -> float | None:

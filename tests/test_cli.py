@@ -1,6 +1,7 @@
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -192,7 +193,8 @@ class TestExitCodes:
     def test_identity_guard_is_invalid_decomposition(self):
         broken = Decomposition(S=0.5 + 1e-6, U=0.6, Z=0.2, R=0.1, q_bar=UNIFORM)
         with pytest.raises(InvalidDecomposition):
-            _decomposition_summary(broken, BinnedStats(bins=(), nbins=11))
+            _decomposition_summary(
+                broken, BinnedStats(np.zeros((0, 3), int), np.zeros((0, 3), int), 11))
 
 
 class TestCalibrate:
@@ -322,6 +324,35 @@ class TestScoreCommand:
         assert mean == pytest.approx(s, abs=1e-12)
 
 
+    @pytest.mark.parametrize("rule", ["brier", "rps"])
+    def test_matches_calibrate_mean_score_before(self, runner, tmp_path, rule):
+        # the same quantity, summed per pair in score and as one residual
+        # dot product in calibrate: equal up to summation order
+        rng = np.random.default_rng(5)
+        p = rng.dirichlet((1.0, 1.0, 1.0), 5000)
+        records = [{"lat": 0.0, "lon": 0.0, "pB": b, "pN": n, "pA": a, "obs": "BNA"[k]}
+                   for (b, n, a), k in zip(p.tolist(), rng.integers(0, 3, 5000).tolist())]
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps({"records": records}))
+        mean = run_json(runner, ["score", "-i", str(path), "--score", rule])["mean_score"]
+        cal = run_json(runner, ["calibrate", "-i", str(path), "--score", rule])
+        assert abs(mean - cal["mean_score_before"]) <= 1e-12
+
+    def test_degenerate_climatology_message_matches_project(self, runner, tmp_path):
+        src = tmp_path / "ds.json"
+        src.write_text(json.dumps({"q": [0, 0.5, 0.5], "records": [
+            {"lat": 0, "lon": 0, "mu": 1, "sigma": 1, "mu_c": 0, "sigma_c": 1,
+             "obs_value": 0.5},
+        ]}))
+        scored = runner.invoke(main, ["score", "-i", str(src)])
+        projected = runner.invoke(main, ["project", "-i", str(src), "-o",
+                                         str(tmp_path / "out.json")])
+        for result in (scored, projected):
+            assert_fails_cleanly(result, 3)
+        assert scored.stderr == projected.stderr
+        assert "leaves no interior thresholds" in scored.stderr
+
+
 class TestRenderCommands:
     def test_render_map_roundtrip(self, runner, dataset_csv, tmp_path):
         out_path = tmp_path / "map.svg"
@@ -425,6 +456,27 @@ class TestRenderCommands:
             "palette", "-o", str(out_path), "--anchors", anchors, "--size", "3",
         ])
         assert result.exit_code == 0, result.output
+
+    def test_palette_anchors_one_turn_on(self, runner, tmp_path):
+        out_path = tmp_path / "pal.svg"
+        result = runner.invoke(main, [
+            "palette", "-o", str(out_path), "--anchors", "[[0,0.4],[1,1.4]]", "--size", "3",
+        ])
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("anchors, named", [
+        ("[[0, 0], [1, 1" + "0" * 400 + "]]", "anchors[1][1]"),
+        ('[[0, "0.5"], [1, 1.5]]', "anchors[0][1]"),
+        ("[[0, true], [1, 1]]", "anchors[0][1]"),
+        ("[[0, NaN], [1, NaN]]", "anchors[0][1]"),
+        ("[[0, 0], [1]]", "[t, hue] pairs"),
+        ("5", "[t, hue] pairs"),
+    ], ids=["huge-int", "string", "bool", "nan", "not-a-pair", "not-a-list"])
+    def test_palette_bad_anchors_is_schema_error(self, runner, tmp_path, anchors, named):
+        result = runner.invoke(main, ["palette", "-o", str(tmp_path / "x.svg"),
+                                      "--anchors", anchors])
+        assert_fails_cleanly(result, 2)
+        assert named in result.stderr
 
     def test_palette_bad_q_is_schema_error(self, runner, tmp_path):
         result = runner.invoke(main, ["palette", "-o", str(tmp_path / "x.svg"),

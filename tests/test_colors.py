@@ -151,8 +151,19 @@ class TestPaletteParams:
             PaletteParams(hue_anchors=((0.0, 0.0), (0.5, 0.2), (0.5, 0.3), (1.0, 1.0)))
         with pytest.raises(ChannelOutOfRange):
             PaletteParams(hue_anchors=((0.0, 0.0), (1.0, 0.5)))
+        for table in (((0.0, 0.0), (math.nan, 0.5), (1.0, 1.0)),
+                      ((0.0, 0.0), (0.5, math.inf), (1.0, 1.0)),
+                      ((0.0, -1e308), (1.0, 1e308))):
+            with pytest.raises(ChannelOutOfRange):
+                PaletteParams(hue_anchors=table)
         with pytest.raises(ChannelOutOfRange):
             PaletteParams(m=0.0)
+
+    @pytest.mark.parametrize("first", [0.4, 0.9, 0.15, 0.3])
+    def test_accepts_last_hue_one_turn_on(self, first):
+        # first + 1 - first is 0.9999999999999999 for the first three
+        anchors = ((0.0, first), (1.0, first + 1.0))
+        assert PaletteParams(hue_anchors=anchors).hue_anchors == anchors
 
     @pytest.mark.parametrize("kw", [
         {"m": math.inf}, {"m": math.nan}, {"theta0": math.nan}, {"theta0": -math.inf},
@@ -251,10 +262,9 @@ def _lattice_point(n):
 @st.composite
 def _anchor_tables(draw):
     """Strictly increasing positions from 0 to 1; the last hue is the
-    first one, or one more (the first is a multiple of 1/64, so that the
-    difference is exact)."""
+    first one, or one more."""
     inner = sorted(set(draw(st.lists(st.floats(0.01, 0.99), max_size=5))))
-    first = draw(st.integers(0, 63)) / 64
+    first = draw(st.floats(0.0, 1.0, exclude_max=True))
     hues = draw(st.lists(_unit, min_size=len(inner), max_size=len(inner)))
     last = first + draw(st.sampled_from((0.0, 1.0)))
     return tuple(zip([0.0, *inner, 1.0], [first, *hues, last]))

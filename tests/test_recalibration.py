@@ -19,6 +19,7 @@ from triscore import (
 )
 from triscore.errors import EmptyDataset
 from triscore.recalibration import _assemble, project_to_simplex
+from triscore.verification import _pair_arrays
 
 from conftest import CATS, categorical_pairs, random_pd_rules
 
@@ -44,7 +45,7 @@ def nelder_mead_best(pairs, rule, rng, restarts=20):
     costs a single matrix-vector product; the map itself is still
     evaluated through the public API at the returned optimum.
     """
-    design, target = _assemble(pairs, rule)
+    design, target = _assemble(*_pair_arrays(pairs), rule)
     n = len(pairs)
 
     def objective(c):
@@ -223,7 +224,7 @@ class TestResidualSystem:
         pairs = categorical_pairs(rng, n)
         coeffs = np.asarray(QuadraticMap.identity().coeffs) + rng.uniform(-0.5, 0.5, 12)
         for rule in (brier_rule(), rps_rule(), *random_pd_rules(rng, 2)):
-            design, target = _assemble(pairs, rule)
+            design, target = _assemble(*_pair_arrays(pairs), rule)
             resid = design @ coeffs - target
             diffs = [rule.L @ (mapped_reference(coeffs, p.forecast) - p.obs.to_ternary().as_array())
                      for p in pairs]

@@ -47,7 +47,8 @@ def snap_reference(p, nbins):
 
 
 def bin_reference(pairs, nbins):
-    """Per-pair grouping on the lattice: the reference for bin_forecasts."""
+    """Per-pair grouping on the lattice: the reference for bin_forecasts'
+    ``bins``."""
     counts = {}
     for p in pairs:
         acc = counts.setdefault(snap_reference(p.forecast, nbins), np.zeros(3))
@@ -57,7 +58,7 @@ def bin_reference(pairs, nbins):
         total = int(counts[key].sum())
         center = make_ternary(key[0] / nbins, key[1] / nbins, key[2] / nbins)
         bins.append(Bin(center, total, make_ternary(*(counts[key] / total)), key))
-    return BinnedStats(tuple(bins), nbins)
+    return tuple(bins)
 
 
 def decompose_reference(rule, binned):
@@ -188,7 +189,7 @@ class TestBinning:
         # the largest nbins whose lattice code fits in int64 still groups
         # and orders exactly; one more is rejected, not wrapped around
         pairs = categorical_pairs(rng, 50) + [pair((0.5, 0.5, 0.0), B)] * 2
-        assert bin_forecasts(pairs, 2**31) == bin_reference(pairs, 2**31)
+        assert bin_forecasts(pairs, 2**31).bins == bin_reference(pairs, 2**31)
         for nbins in (0, 2**31 + 1):
             with pytest.raises(EmptyDataset):
                 bin_forecasts(pairs, nbins)
@@ -209,7 +210,7 @@ class TestArrayMatchesReference:
     @given(_binning_cases())
     def test_binning(self, case):
         nbins, pairs = case
-        assert bin_forecasts(pairs, nbins) == bin_reference(pairs, nbins)
+        assert bin_forecasts(pairs, nbins).bins == bin_reference(pairs, nbins)
 
     @settings(max_examples=100, deadline=None)
     @given(_binning_cases(), st.integers(0, 2**32 - 1))
@@ -242,7 +243,7 @@ def assert_matches_per_group(rule, pairs, group, nbins):
     for g, d in enumerate(got):
         members = [p for p, k in zip(pairs, group) if k == g]
         binned = bin_forecasts(members, nbins)
-        assert binned == bin_reference(members, nbins)
+        assert binned.bins == bin_reference(members, nbins)
         want = decompose(rule, binned)
         terms = np.array([d.S, d.U, d.Z, d.R])
         assert np.max(np.abs(terms - [want.S, want.U, want.Z, want.R])) <= 1e-15
@@ -330,10 +331,8 @@ class TestDecompose:
             assert d.identity_gap() <= 1e-10
 
     def test_rejects_empty(self, brier):
-        from triscore import BinnedStats
-
         with pytest.raises(EmptyDataset):
-            decompose(brier, BinnedStats((), 11))
+            decompose(brier, BinnedStats(np.zeros((0, 3), int), np.zeros((0, 3), int), 11))
 
 
 class TestSkillRadius:
