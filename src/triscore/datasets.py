@@ -19,6 +19,10 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from types import NoneType
+
+import numpy as np
 
 from .errors import (
     MissingClimatologySeries,
@@ -28,6 +32,9 @@ from .errors import (
 )
 from .gaussian import _climatology_z, gaussian_to_ternary, scale_params
 from .simplex import (
+    NEGATIVE_TOLERANCE,
+    RESCALE_TOLERANCE,
+    SUM_TOLERANCE,
     CategoryThresholds,
     ObsCategory,
     TernaryProb,
@@ -40,6 +47,9 @@ from .verification import ForecastObsPair
 
 _TERNARY_FIELDS = ("pB", "pN", "pA")
 _GAUSSIAN_FIELDS = ("mu", "sigma", "mu_c", "sigma_c")
+_NUMBER_FIELDS = ("lat", "lon", *_TERNARY_FIELDS, *_GAUSSIAN_FIELDS, "obs_value")
+_OBS_LABELS = {c.value: c for c in ObsCategory}
+_INVALID = object()  # a decoded label that is not B/N/A
 
 
 def _check_representation(ternary, gaussian, members) -> None:
@@ -250,22 +260,16 @@ def _csv_rows(text: str):
         raise SchemaError(f"malformed CSV: {e}", f"row {rownum + 1}") from None
 
 
-def parse_csv(data: bytes) -> Dataset:
-    """Parse a CSV dataset; the climatology defaults to uniform.
-
-    The header must name lat, lon and one forecast family (pB/pN/pA or
-    mu/sigma/mu_c/sigma_c); obs and obs_value columns are optional.
-    """
-    rows = _csv_rows(_decode(data))
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise SchemaError("empty CSV input") from None
+def _csv_header(header: list[str]) -> list[str]:
+    """The stripped column names; SchemaError at row 1 unless they are
+    known and distinct and include lat, lon and one forecast family."""
     header = [h.strip() for h in header]
     known = {"lat", "lon", "obs", "obs_value", *_TERNARY_FIELDS, *_GAUSSIAN_FIELDS}
-    for col in header:
+    for j, col in enumerate(header):
         if col not in known:
             raise SchemaError(f"unknown column {col!r}", "row 1")
+        if col in header[:j]:
+            raise SchemaError(f"duplicate column {col!r}", "row 1")
     for col in ("lat", "lon"):
         if col not in header:
             raise SchemaError(f"missing required column {col!r}", "row 1")
@@ -274,27 +278,84 @@ def parse_csv(data: bytes) -> Dataset:
         raise SchemaError(
             "header must include pB,pN,pA or mu,sigma,mu_c,sigma_c", "row 1"
         )
+    return header
 
-    records = []
-    for rownum, row in rows:
-        where = f"row {rownum}"
-        if not row or all(not cell.strip() for cell in row):
+
+def _csv_record(header: list[str], row: list[str], where: str) -> ForecastRecord:
+    """Validate and build one CSV row field by field: the error path of
+    parse_csv, whose messages name the offending field."""
+    if len(row) != len(header):
+        raise SchemaError(f"expected {len(header)} fields, got {len(row)}", where)
+    cells = dict(zip(header, map(str.strip, row)))
+    return _build_record(
+        where,
+        _csv_float(cells, "lat", where),
+        _csv_float(cells, "lon", where),
+        [_csv_float(cells, c, where) for c in _TERNARY_FIELDS],
+        [_csv_float(cells, c, where) for c in _GAUSSIAN_FIELDS],
+        obs=_parse_obs_label(cells.get("obs") or None, where),
+        obs_value=_csv_float(cells, "obs_value", where),
+    )
+
+
+def _csv_cell(text: str) -> float | None:
+    """A stripped cell as a float; None if empty, NaN unless a number."""
+    if not text:
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def parse_csv(data: bytes) -> Dataset:
+    """Parse a CSV dataset; the climatology defaults to uniform.
+
+    The header must name lat, lon and one forecast family (pB/pN/pA or
+    mu/sigma/mu_c/sigma_c), each column once; obs and obs_value columns
+    are optional.
+    """
+    rows = _csv_rows(_decode(data))
+    try:
+        _, header = next(rows)
+    except StopIteration:
+        raise SchemaError("empty CSV input") from None
+    header = _csv_header(header)
+    width = len(header)
+
+    kept, rownums, error = [], [], None
+    try:
+        for rownum, row in rows:
+            if "".join(row).strip():  # rows of blank cells are skipped
+                kept.append(row)
+                rownums.append(rownum)
+    except SchemaError as e:  # rows before the malformed one are checked first
+        error = e
+    bad = np.zeros(len(kept), dtype=bool)
+    padded = kept
+    if set(map(len, kept)) - {width}:
+        bad = np.array([len(row) != width for row in kept])
+        padded = [[""] * width if short else row for short, row in zip(bad.tolist(), kept)]
+
+    fields = {}
+    for name, cells in zip(header, zip(*padded)):
+        texts = list(map(str.strip, cells))
+        if name == "obs":
+            fields[name], invalid = _obs_column([text or None for text in texts])
+            bad |= invalid
             continue
-        if len(row) != len(header):
-            raise SchemaError(
-                f"expected {len(header)} fields, got {len(row)}", where
-            )
-        cells = dict(zip(header, map(str.strip, row)))
-        records.append(_build_record(
-            where,
-            _csv_float(cells, "lat", where),
-            _csv_float(cells, "lon", where),
-            [_csv_float(cells, c, where) for c in _TERNARY_FIELDS],
-            [_csv_float(cells, c, where) for c in _GAUSSIAN_FIELDS],
-            obs=_parse_obs_label(cells.get("obs") or None, where),
-            obs_value=_csv_float(cells, "obs_value", where),
-        ))
-    return Dataset(records=tuple(records))
+        try:
+            fields[name] = [float(text) if text else None for text in texts]
+        except ValueError:
+            fields[name] = list(map(_csv_cell, texts))
+    n = len(kept)
+    fixed = _check_columns(
+        n, fields, bad, lambda i: _csv_record(header, kept[i], f"row {rownums[i]}")
+    )
+    if error is not None:
+        raise error
+    del kept, padded  # the records are built from the columns
+    return Dataset(records=_build_records(n, fields, fixed))
 
 
 def _json_float(value) -> float | None:
@@ -337,6 +398,41 @@ def _json_numbers(rec: dict, key: str, where: str) -> tuple[float, ...] | None:
     return json_floats(value, key, f"{where}.{key}")
 
 
+def _json_record(rec, where: str) -> ForecastRecord:
+    """Validate and build one JSON record field by field: the error path
+    of parse_json, whose messages name the offending field."""
+    if not isinstance(rec, dict):
+        raise SchemaError("record must be an object", where)
+    return _build_record(
+        where,
+        _json_number(rec, "lat", where),
+        _json_number(rec, "lon", where),
+        [_json_number(rec, k, where) for k in _TERNARY_FIELDS],
+        [_json_number(rec, k, where) for k in _GAUSSIAN_FIELDS],
+        members=_json_numbers(rec, "members", where),
+        obs=_parse_obs_label(rec.get("obs"), f"{where}.obs"),
+        obs_value=_json_number(rec, "obs_value", where),
+        series=_json_numbers(rec, "series", where),
+    )
+
+
+def _json_cell(value) -> float | None:
+    """A decoded JSON field as a float; None if absent, NaN unless a
+    finite number."""
+    if value is None:
+        return None
+    number = _json_float(value)
+    return math.nan if number is None else number
+
+
+def _json_array(value) -> tuple[float, ...] | None:
+    """A non-empty JSON array of finite numbers as floats; None otherwise."""
+    if type(value) is not list or not value:
+        return None
+    out = tuple(map(_json_float, value))
+    return None if None in out else out
+
+
 def parse_json(data: bytes) -> Dataset:
     """Parse a JSON dataset: {"q": [...], "metadata": {...}, "records": [...]}."""
     doc = load_json(_decode(data), "invalid JSON")
@@ -361,45 +457,173 @@ def parse_json(data: bytes) -> Dataset:
     ):
         raise SchemaError("metadata must map strings to strings", "metadata")
 
-    records = []
-    for i, rec in enumerate(doc["records"]):
-        where = f"records[{i}]"
-        if not isinstance(rec, dict):
-            raise SchemaError("record must be an object", where)
-        records.append(_build_record(
-            where,
-            _json_number(rec, "lat", where),
-            _json_number(rec, "lon", where),
-            [_json_number(rec, k, where) for k in _TERNARY_FIELDS],
-            [_json_number(rec, k, where) for k in _GAUSSIAN_FIELDS],
-            members=_json_numbers(rec, "members", where),
-            obs=_parse_obs_label(rec.get("obs"), f"{where}.obs"),
-            obs_value=_json_number(rec, "obs_value", where),
-            series=_json_numbers(rec, "series", where),
-        ))
-    return Dataset(records=tuple(records), q=q, metadata=dict(metadata))
+    records = doc["records"]
+    bad = np.zeros(len(records), dtype=bool)
+    objects = records
+    if not set(map(type, records)) <= {dict}:
+        bad = np.array([type(rec) is not dict for rec in records])
+        objects = [{} if other else rec for other, rec in zip(bad.tolist(), records)]
+
+    fields = {}  # the keys some record holds
+    for key in (*_NUMBER_FIELDS, "obs", "members", "series"):
+        values = list(map(dict.get, objects, repeat(key)))
+        if values.count(None) == len(values):
+            continue
+        if key == "obs":
+            values, invalid = _obs_column(values)
+            bad |= invalid
+        elif key in ("members", "series"):
+            arrays = list(map(_json_array, values))
+            bad |= np.array([a is None and v is not None for a, v in zip(arrays, values)])
+            values = arrays
+        elif not set(map(type, values)) <= {float, NoneType}:
+            values = list(map(_json_cell, values))
+        fields[key] = values
+    n = len(records)
+    fixed = _check_columns(n, fields, bad, lambda i: _json_record(records[i], f"records[{i}]"))
+    del doc, records, objects  # the records are built from the columns
+    return Dataset(records=_build_records(n, fields, fixed), q=q, metadata=dict(metadata))
+
+
+def _obs_category(value):
+    """A decoded label as a category; None if absent, _INVALID unless a
+    B/N/A string in any case."""
+    if value is None:
+        return None
+    if not isinstance(value, str):
+        return _INVALID
+    return _OBS_LABELS.get(value.strip().upper(), _INVALID)
+
+
+def _obs_column(values: list) -> tuple[list, np.ndarray]:
+    """Observed labels as categories, None where absent, and the mask of
+    the invalid ones."""
+    if set(map(type, values)) <= {str, NoneType}:
+        # a column holds few distinct labels: convert each once
+        table = {value: _obs_category(value) for value in set(values)}
+        obs = list(map(table.__getitem__, values))
+    else:
+        obs = list(map(_obs_category, values))
+    return obs, np.array([o is _INVALID for o in obs], dtype=bool)
+
+
+def _given(values: list | None, n: int) -> np.ndarray:
+    """Mask of the rows where a per-row value is not None."""
+    if values is None:
+        return np.zeros(n, dtype=bool)
+    return np.array([v is not None for v in values], dtype=bool)
+
+
+def _float_column(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """Floats, None where absent, as an array with NaN where absent, and
+    the mask of the present values that are not finite."""
+    column = np.array(values, dtype=float)
+    bad = ~np.isfinite(column)
+    if bad.any():
+        bad &= _given(values, len(values))
+    return column, bad
+
+
+def _check_columns(n: int, fields: dict, bad: np.ndarray, revalidate) -> dict:
+    """Every check of ``_build_record`` and ``ForecastRecord`` on ``n``
+    decoded rows, one column at a time.
+
+    ``fields`` maps each number field to its per-row floats (None where
+    absent, NaN where not a finite number), ``obs`` to categories and
+    ``members`` and ``series`` to float tuples; a missing key is absent
+    from every row.  ``bad`` flags the rows whose fields did not decode
+    and gains the rows that fail a check.  The first flagged row goes to
+    ``revalidate(i)``, the parser's per-row path, which raises its
+    located error.  Otherwise the result maps each row whose triple
+    ``make_ternary`` clamps or renormalises to that triple.
+    """
+    cols = {}
+    for name in _NUMBER_FIELDS:
+        if name in fields:
+            cols[name], invalid = _float_column(fields[name])
+            bad |= invalid
+        else:
+            cols[name] = np.full(n, np.nan)
+    lat, lon = cols["lat"], cols["lon"]
+    p = np.stack([cols[k] for k in _TERNARY_FIELDS], axis=1)
+    g = np.stack([cols[k] for k in _GAUSSIAN_FIELDS], axis=1)
+    given_t = np.count_nonzero(~np.isnan(p), axis=1)
+    given_g = np.count_nonzero(~np.isnan(g), axis=1)
+    given_obs = _given(fields.get("obs"), n)
+    clamped = np.where(p <= 0.0, 0.0, p)  # make_ternary's max(0.0, v) turns -0.0 into 0.0
+    total = clamped[:, 0] + clamped[:, 1] + clamped[:, 2]
+    off = np.abs(total - 1.0)
+    bad |= ~((-90.0 <= lat) & (lat <= 90.0)) | ~((-180.0 <= lon) & (lon <= 180.0))
+    bad |= (given_t > 0).astype(np.int8) + (given_g > 0) + _given(fields.get("members"), n) != 1
+    bad |= (given_t % 3 > 0) | (given_g % 4 > 0)
+    bad |= (p < NEGATIVE_TOLERANCE).any(axis=1) | (off > SUM_TOLERANCE)
+    bad |= (g[:, 1] <= 0.0) | (g[:, 3] <= 0.0) | (given_obs & ~np.isnan(cols["obs_value"]))
+    if bad.any():
+        i = int(np.argmax(bad))
+        revalidate(i)
+        raise RuntimeError(f"row {i} failed a column check but passed re-validation")
+
+    # make_ternary: clamp, divide by the total, then set the first largest
+    # component to one minus the other two
+    changed = np.signbit(p).any(axis=1) | (off > RESCALE_TOLERANCE)
+    change = np.flatnonzero((given_t == 3) & changed)
+    fixed = clamped[change]
+    scaled = np.flatnonzero(off[change] > RESCALE_TOLERANCE)
+    fixed[scaled] /= total[change[scaled], None]
+    k = np.argmax(fixed[scaled], axis=1)
+    fixed[scaled, k] = 1.0 - (fixed[scaled, (k + 1) % 3] + fixed[scaled, (k + 2) % 3])
+    return dict(zip(change.tolist(), (TernaryProb(*row) for row in fixed.tolist())))
+
+
+def _build_records(n: int, fields: dict, fixed: dict) -> tuple[ForecastRecord, ...]:
+    """The records of ``n`` rows that passed ``_check_columns``.
+
+    They hold the decoded floats themselves, except for the triples in
+    ``fixed``.
+    """
+    if n == 0:
+        return ()
+    absent = repeat(None)
+    ternary = gaussian = absent
+    if all(k in fields for k in _TERNARY_FIELDS):
+        ternary = [None if b is None else TernaryProb(b, nn, a)
+                   for b, nn, a in zip(*(fields[k] for k in _TERNARY_FIELDS))]
+        for i, t in fixed.items():
+            ternary[i] = t
+    if all(k in fields for k in _GAUSSIAN_FIELDS):
+        gaussian = [None if values[0] is None else values
+                    for values in zip(*(fields[k] for k in _GAUSSIAN_FIELDS))]
+    return tuple(map(
+        ForecastRecord, fields["lat"], fields["lon"], ternary, gaussian,
+        fields.get("members", absent), fields.get("obs", absent),
+        fields.get("obs_value", absent), fields.get("series", absent),
+    ))
+
+
+def _record_object(rec: ForecastRecord) -> dict:
+    """The JSON object of one record, without its absent fields."""
+    obj: dict = {"lat": rec.lat, "lon": rec.lon}
+    if rec.ternary is not None:
+        obj["pB"], obj["pN"], obj["pA"] = rec.ternary.as_tuple()
+    if rec.gaussian is not None:
+        obj["mu"], obj["sigma"], obj["mu_c"], obj["sigma_c"] = rec.gaussian
+    if rec.members is not None:
+        obj["members"] = list(rec.members)
+    if rec.series is not None:
+        obj["series"] = list(rec.series)
+    if rec.obs is not None:
+        obj["obs"] = rec.obs.value
+    if rec.obs_value is not None:
+        obj["obs_value"] = rec.obs_value
+    return obj
 
 
 def write_json(dataset: Dataset) -> bytes:
-    """Serialise a dataset; parse_json(write_json(d)) equals d."""
-    doc = {
-        "q": [dataset.q.pB, dataset.q.pN, dataset.q.pA],
-        "metadata": dataset.metadata,
-        "records": [],
-    }
-    for rec in dataset.records:
-        obj: dict = {"lat": rec.lat, "lon": rec.lon}
-        if rec.ternary is not None:
-            obj["pB"], obj["pN"], obj["pA"] = rec.ternary.as_tuple()
-        if rec.gaussian is not None:
-            obj["mu"], obj["sigma"], obj["mu_c"], obj["sigma_c"] = rec.gaussian
-        if rec.members is not None:
-            obj["members"] = list(rec.members)
-        if rec.series is not None:
-            obj["series"] = list(rec.series)
-        if rec.obs is not None:
-            obj["obs"] = rec.obs.value
-        if rec.obs_value is not None:
-            obj["obs_value"] = rec.obs_value
-        doc["records"].append(obj)
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    """Serialise a dataset, one compact record per line;
+    parse_json(write_json(d)) equals d."""
+    q = json.dumps([dataset.q.pB, dataset.q.pN, dataset.q.pA])
+    records = ",\n".join(map(json.dumps, map(_record_object, dataset.records)))
+    if records:
+        records = f"\n{records}\n"
+    head = f'{{"q": {q}, "metadata": {json.dumps(dataset.metadata)}, "records": ['
+    return f"{head}{records}]}}\n".encode("utf-8")

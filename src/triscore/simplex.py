@@ -25,6 +25,8 @@ from .errors import (
 SUM_TOLERANCE = 1e-9
 #: Most negative component accepted (clamped to zero) at construction.
 NEGATIVE_TOLERANCE = -1e-12
+#: Largest |pB+pN+pA - 1| left without rescaling at construction.
+RESCALE_TOLERANCE = 1e-15
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ def make_ternary(pB: float, pN: float, pA: float) -> TernaryProb:
     # sums already within a few ulp of 1 are left untouched: rescaling by
     # such a factor is a no-op at double precision and would break
     # bit-level idempotence of construction (and hence I/O roundtrips)
-    if abs(total - 1.0) > 1e-15:
+    if abs(total - 1.0) > RESCALE_TOLERANCE:
         vals = [v / total for v in vals]
         k = max(range(3), key=lambda i: vals[i])
         vals[k] = 1.0 - (vals[(k + 1) % 3] + vals[(k + 2) % 3])

@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triscore import datasets
 from triscore import (
     Dataset,
     ForecastRecord,
@@ -23,11 +25,94 @@ from triscore.errors import (
     MissingClimatologySeries,
     MixedRepresentation,
     SchemaError,
+    TriscoreError,
 )
 
 
 def csv_bytes(*lines):
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def parse_json_reference(data: bytes) -> Dataset:
+    """Record-by-record JSON parsing through the per-field helpers and
+    ``_build_record``: the reference for parse_json's column checks."""
+    doc = datasets.load_json(datasets._decode(data), "invalid JSON")
+    if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
+        raise SchemaError("top level must be an object with a 'records' array")
+    if "q" in doc:
+        qv = doc["q"]
+        if not (isinstance(qv, list) and len(qv) == 3):
+            raise SchemaError("q must be a 3-element array", "q")
+        q_values = datasets.json_floats(qv, "q", "q")
+        try:
+            q = make_ternary(*q_values)
+        except TriscoreError as e:
+            raise SchemaError(f"invalid climatology q: {e}", "q") from None
+    else:
+        q = UNIFORM
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
+    ):
+        raise SchemaError("metadata must map strings to strings", "metadata")
+
+    number, numbers = datasets._json_number, datasets._json_numbers
+    records = []
+    for i, rec in enumerate(doc["records"]):
+        where = f"records[{i}]"
+        if not isinstance(rec, dict):
+            raise SchemaError("record must be an object", where)
+        records.append(datasets._build_record(
+            where,
+            number(rec, "lat", where),
+            number(rec, "lon", where),
+            [number(rec, k, where) for k in ("pB", "pN", "pA")],
+            [number(rec, k, where) for k in ("mu", "sigma", "mu_c", "sigma_c")],
+            members=numbers(rec, "members", where),
+            obs=datasets._parse_obs_label(rec.get("obs"), f"{where}.obs"),
+            obs_value=number(rec, "obs_value", where),
+            series=numbers(rec, "series", where),
+        ))
+    return Dataset(records=tuple(records), q=q, metadata=dict(metadata))
+
+
+def parse_csv_reference(data: bytes) -> Dataset:
+    """Row-by-row CSV parsing through the per-field helpers and
+    ``_build_record``: the reference for parse_csv's column checks."""
+    rows = datasets._csv_rows(datasets._decode(data))
+    try:
+        _, header = next(rows)
+    except StopIteration:
+        raise SchemaError("empty CSV input") from None
+    header = datasets._csv_header(header)
+    number = datasets._csv_float
+    records = []
+    for rownum, row in rows:
+        where = f"row {rownum}"
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise SchemaError(f"expected {len(header)} fields, got {len(row)}", where)
+        cells = dict(zip(header, map(str.strip, row)))
+        records.append(datasets._build_record(
+            where,
+            number(cells, "lat", where),
+            number(cells, "lon", where),
+            [number(cells, c, where) for c in ("pB", "pN", "pA")],
+            [number(cells, c, where) for c in ("mu", "sigma", "mu_c", "sigma_c")],
+            obs=datasets._parse_obs_label(cells.get("obs") or None, where),
+            obs_value=number(cells, "obs_value", where),
+        ))
+    return Dataset(records=tuple(records))
+
+
+def outcome(parse, data: bytes):
+    """The parsed dataset's repr, which spells every float to its last
+    bit and the sign of zero, or the package error's class and message."""
+    try:
+        return repr(parse(data))
+    except TriscoreError as e:
+        return type(e), str(e)
 
 
 class TestParseCsv:
@@ -114,6 +199,12 @@ class TestParseCsv:
     def test_blank_lines_skipped(self):
         ds = parse_csv(csv_bytes("lat,lon,pB,pN,pA", "0,0,1,0,0", "", "1,0,0,1,0"))
         assert len(ds.records) == 2
+
+    def test_duplicate_column_rejected(self):
+        # the last cell used to win: this row parsed as (0.2, 0.3, 0.5)
+        with pytest.raises(SchemaError) as err:
+            parse_csv(csv_bytes("lat,lon,pB,pN,pA,pA", "0,0,0.2,0.3,0.9,0.5"))
+        assert str(err.value) == "row 1: duplicate column 'pA'"
 
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(SchemaError):
@@ -364,3 +455,228 @@ class TestJsonInputRejected:
         with pytest.raises(SchemaError) as err:
             parse_json(data)
         assert where in str(err.value)
+
+
+# Generated datasets for the column checks.  Triples sit on, near and
+# just past make_ternary's tolerances; each document is valid or has one
+# field corrupted, and the parsers must agree with their references.
+_NEAR_ONE = (1e-9, -1e-9, 9.99e-10, -9.99e-10, 1.01e-9, -1.01e-9, 1e-15, -1e-15, 3e-15, 0.0)
+_BELOW_ZERO = (-1e-12, -9.99e-13, -1.01e-12, -5e-324, -0.0)
+
+
+@st.composite
+def _triples(draw, valid: bool = False) -> list:
+    weights = [draw(st.floats(0.0, 1.0)) for _ in range(3)]
+    total = sum(weights) or 1.0
+    p = [w / total for w in weights] if sum(weights) else [1.0, 0.0, 0.0]
+    edit = draw(st.sampled_from(("none", "scale", "zero", "below-zero", "integers")))
+    k = draw(st.integers(0, 2))
+    if edit == "scale":
+        inside = [x for x in _NEAR_ONE if abs(x) < 1e-9]
+        near = st.sampled_from(inside) if valid else st.one_of(
+            st.sampled_from(_NEAR_ONE), st.floats(-2e-9, 2e-9))
+        factor = 1.0 + draw(near)
+        p = [x * factor for x in p]
+    elif edit == "zero":
+        p[k], p[(k + 1) % 3] = p[k] + p[(k + 1) % 3], draw(st.sampled_from((0.0, -0.0)))
+    elif edit == "below-zero":
+        below = _BELOW_ZERO[:2] if valid else _BELOW_ZERO
+        p[k], p[(k + 1) % 3] = p[k] + p[(k + 1) % 3], draw(st.sampled_from(below))
+    elif edit == "integers":
+        p = [0, 0, 0]
+        p[k] = 1
+    return p
+
+
+_coord = st.floats(-90.0, 90.0) | st.integers(-90, 90)
+_value = st.floats(-1e3, 1e3) | st.integers(-5, 5)
+_positive = st.floats(1e-3, 1e3) | st.integers(1, 5)
+
+
+@st.composite
+def _records(draw, kinds=("ternary", "gaussian", "ensemble"), valid: bool = False) -> dict:
+    rec = {"lat": draw(_coord), "lon": draw(_coord)}
+    kind = draw(st.sampled_from(kinds))
+    if kind == "ternary":
+        rec.update(zip(("pB", "pN", "pA"), draw(_triples(valid))))
+    elif kind == "gaussian":
+        rec.update(mu=draw(_value), sigma=draw(_positive), mu_c=draw(_value),
+                   sigma_c=draw(_positive))
+    else:
+        rec["members"] = draw(st.lists(_value, min_size=1, max_size=4))
+        if draw(st.booleans()):
+            rec["series"] = draw(st.lists(_value, min_size=2, max_size=5))
+    observed = draw(st.sampled_from(("none", "obs", "obs_value")))
+    if observed == "obs":
+        rec["obs"] = draw(st.sampled_from(("B", "N", "A", "b", " a ", "n\t")))
+    elif observed == "obs_value":
+        rec["obs_value"] = draw(_value)
+    return rec
+
+
+_FIELDS = ("lat", "lon", "pB", "pN", "pA", "mu", "sigma", "mu_c", "sigma_c", "obs",
+           "obs_value", "members", "series")
+_bad_json = st.one_of(
+    st.sampled_from([True, False, "5", "0.2", "", "B", "x", 10**400, -(10**400), 7, -0.0,
+                     math.nan, math.inf, -math.inf, [], [0.5], [0.5, True], [math.nan],
+                     {"a": 1}, 90.00000000000001, -180.00000000000003, *_BELOW_ZERO, 1e308]),
+    st.floats(),
+)
+
+
+@st.composite
+def _json_documents(draw) -> bytes:
+    records = draw(st.lists(_records(), max_size=5))
+    doc = {"q": [0.25, 0.5, 0.25], "metadata": {"source": "test"}, "records": records}
+    corruption = draw(st.sampled_from(("none", "replace", "delete", "both-obs", "non-object")))
+    if records and corruption != "none":
+        i = draw(st.integers(0, len(records) - 1))
+        if corruption == "replace":
+            records[i][draw(st.sampled_from(_FIELDS))] = draw(_bad_json)
+        elif corruption == "delete":
+            records[i].pop(draw(st.sampled_from(_FIELDS)), None)
+        elif corruption == "both-obs":
+            records[i].update(obs="A", obs_value=1.5)
+        else:
+            records[i] = draw(_bad_json)
+    return json.dumps(doc).encode()
+
+
+_CSV_FIELDS = ("lat", "lon", "pB", "pN", "pA", "mu", "sigma", "mu_c", "sigma_c", "obs",
+               "obs_value")
+_bad_cell = st.one_of(
+    st.sampled_from(["", "true", "abc", "nan", "-inf", "Infinity", "1e400", "-0.0", "-1e-12",
+                     "-1.01e-12", "90.00000000000001", "-180.00000000000003", "Q", " b ", "1_0",
+                     "0x1", "[1]"]),
+    st.floats().map(repr),
+)
+
+
+@st.composite
+def _csv_documents(draw) -> bytes:
+    records = draw(st.lists(_records(kinds=("ternary", "gaussian")), max_size=5))
+    rows = [["" if r.get(c) is None else str(r[c]) if c == "obs" else repr(r[c])
+             for c in _CSV_FIELDS] for r in records]
+    corruption = draw(st.sampled_from(("none", "replace", "short", "blank")))
+    if rows and corruption != "none":
+        i = draw(st.integers(0, len(rows) - 1))
+        if corruption == "replace":
+            rows[i][draw(st.integers(0, len(_CSV_FIELDS) - 1))] = draw(_bad_cell)
+        elif corruption == "short":
+            rows[i] = rows[i][:draw(st.integers(0, len(_CSV_FIELDS) - 1))]
+        else:
+            rows.insert(i, [" "] * draw(st.integers(0, len(_CSV_FIELDS))))
+    return csv_bytes(",".join(_CSV_FIELDS), *(",".join(row) for row in rows))
+
+
+class TestColumnChecks:
+    """parse_json and parse_csv against their record-by-record references:
+    the same records to the last bit, or the same error class and message."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_json_documents())
+    def test_json_matches_reference(self, data):
+        assert outcome(parse_json, data) == outcome(parse_json_reference, data)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_csv_documents())
+    def test_csv_matches_reference(self, data):
+        assert outcome(parse_csv, data) == outcome(parse_csv_reference, data)
+
+    @pytest.mark.parametrize("record", [
+        {"pB": True, "pN": 0.5, "pA": 0.5},
+        {"pB": "0.5", "pN": 0.5, "pA": 0},
+        {"pB": 10**400, "pN": 0, "pA": 0},
+        {"pB": 1, "pN": 0, "pA": 0},
+        {"pB": -0.0, "pN": 0.5, "pA": 0.5},
+        {"pB": -1e-12, "pN": 0.5, "pA": 0.5},
+        {"pB": -1.01e-12, "pN": 0.5, "pA": 0.5},
+        {"pB": 0.2 * (1 + 1e-9), "pN": 0.3 * (1 + 1e-9), "pA": 0.5 * (1 + 1e-9)},
+        {"pB": 0.2 * (1 - 1.01e-9), "pN": 0.3 * (1 - 1.01e-9), "pA": 0.5 * (1 - 1.01e-9)},
+        {"pB": 0.1, "pN": 0.2, "pA": 0.7 + 4e-16},
+        {"pB": 0.5, "pN": 0.5},
+        {"mu": 1, "sigma": 0.0, "mu_c": 0, "sigma_c": 1},
+        {"mu": 1, "sigma": 2, "mu_c": 0},
+        {"members": [1, 2], "series": [0, 3], "obs_value": 1},
+        {"members": [], "series": [0, 3]},
+        {"pB": 1, "pN": 0, "pA": 0, "members": [1.0]},
+        {"pB": 1, "pN": 0, "pA": 0, "obs": "b", "obs_value": 2.0},
+        {"pB": 1, "pN": 0, "pA": 0, "obs": "X"},
+        {"pB": 1, "pN": 0, "pA": 0, "obs": 1},
+        {"pB": 1, "pN": 0, "pA": 0, "lat": 90.00000000000001},
+        {"pB": 1, "pN": 0, "pA": 0, "lon": None},
+        {"pB": 1, "pN": 0, "pA": 0, "obs_value": math.nan},
+        {"pB": 1, "pN": 0, "pA": 0, "obs_value": -math.inf},
+        {"mu": 10**400, "sigma": 2, "mu_c": 0, "sigma_c": 1},
+        {"mu": 1, "sigma": 2, "mu_c": 0, "sigma_c": math.inf},
+        {},
+    ])
+    def test_json_corruptions(self, record):
+        records = [{"lat": 0, "lon": 0, "pB": 1, "pN": 0, "pA": 0}, {"lat": 1, "lon": 2, **record}]
+        data = json.dumps({"records": records}).encode()
+        assert outcome(parse_json, data) == outcome(parse_json_reference, data)
+
+    @pytest.mark.parametrize("data", [
+        b'{"records": []}',
+        b'{"records": [{"lat": 0, "lon": 0, "pB": 1, "pN": 0, "pA": 0}, 5, []]}',
+        b'{"records": [{"lat": 0, "lon": 0, "pB": NaN, "pN": 0, "pA": 1}]}',
+        b'{"records": [{"lat": 0, "lon": 0, "pB": Infinity, "pN": 0, "pA": 1}]}',
+    ], ids=["empty", "non-object", "nan-literal", "infinity-literal"])
+    def test_json_documents(self, data):
+        assert outcome(parse_json, data) == outcome(parse_json_reference, data)
+
+    @pytest.mark.parametrize("lines", [
+        ("lat,lon,pB,pN,pA", "0,0,1,0,0", "0,0,1,0"),
+        ("lat,lon,pB,pN,pA", "0,0,0.5,0.5,0.5", "0,0,1,0"),
+        ("lat,lon,pB,pN,pA", " , , ", "0,0,-0.0,0.5,0.5"),
+        ("lat,lon,pB,pN,pA", "0,0,0.5,0.5,abc", '0,0,"' + "1" * 200_000 + '",0,0'),
+        ("lat,lon,pB,pN,pA", "0,0,1,0,0", '0,0,"' + "1" * 200_000 + '",0,0'),
+        ("lat,lon,mu,sigma,mu_c,sigma_c,pB", "0,0,1,1,0,1,", "0,0,1,1,0,1,0.5"),
+        ("lat,lon,mu,sigma,mu_c,sigma_c,obs_value", "0,0,1,1,0,1,", "0,0,1,1,0,1,1e400"),
+    ], ids=["short-row", "bad-row-before-short", "blank-then-negative-zero",
+            "bad-row-before-malformed", "malformed", "partial-family-column",
+            "infinite-obs-value"])
+    def test_csv_documents(self, lines):
+        data = csv_bytes(*lines)
+        assert outcome(parse_csv, data) == outcome(parse_csv_reference, data)
+
+
+@st.composite
+def _datasets(draw) -> Dataset:
+    doc = {
+        "q": draw(st.sampled_from(([1, 1, 1], [0.25, 0.5, 0.25], [0.2, 0.3, 0.5]))),
+        "metadata": draw(st.dictionaries(st.text(max_size=4), st.text(max_size=6), max_size=3)),
+        "records": draw(st.lists(_records(valid=True), max_size=5)),
+    }
+    if doc["q"] == [1, 1, 1]:
+        del doc["q"]
+    return parse_json(json.dumps(doc).encode())
+
+
+class TestWriteJson:
+    @settings(max_examples=200, deadline=None)
+    @given(_datasets())
+    def test_one_record_per_line(self, ds):
+        lines = write_json(ds).decode("ascii").split("\n")
+        assert lines.pop() == ""
+        if ds.records:
+            assert lines[0].endswith('"records": [') and lines.pop() == "]}"
+            body = lines[1:]
+            assert [json.loads(line.removesuffix(",")) for line in body] == [
+                datasets._record_object(rec) for rec in ds.records]
+            assert all(line.endswith(",") for line in body[:-1])
+        else:
+            assert len(lines) == 1 and lines[0].endswith('"records": []}')
+
+    @settings(max_examples=200, deadline=None)
+    @given(_datasets())
+    def test_roundtrip_and_bytes_stable(self, ds):
+        once = write_json(ds)
+        assert parse_json(once) == ds
+        assert write_json(parse_json(once)) == once
+
+    def test_empty_dataset(self):
+        ds = Dataset(records=(), metadata={"note": "été ≥ 0"})
+        out = write_json(ds)
+        assert out.count(b"\n") == 1
+        assert parse_json(out) == ds
