@@ -155,7 +155,8 @@ def main():
 @click.option("--apply-map", "map_path", default=None,
               help="JSON file with 12 recalibration coefficients to apply.")
 @click.option("--clip/--no-clip", default=False, show_default=True,
-              help="Project recalibrated forecasts back onto the simplex.")
+              help="Project recalibrated forecasts back onto the simplex; "
+                   "acts only with --apply-map.")
 def project(input_path, output_path, map_path, clip):
     """Resolve every record to a ternary forecast; write a JSON dataset.
 
@@ -331,8 +332,10 @@ def _load_overlay(path: str) -> list[list[tuple[float, float]]]:
 @_score_opt
 @_nbins_opt
 @_threshold_opt
-@click.option("--width", type=int, default=760, show_default=True)
-@click.option("--height", type=int, default=700, show_default=True)
+@click.option("--width", type=int, default=760, show_default=True,
+              help="SVG width in px; a width below 600 is drawn as 600.")
+@click.option("--height", type=int, default=700, show_default=True,
+              help="SVG height in px; a height below 600 is drawn as 600.")
 def render_reliability(input_path, output_path, score_rule, nbins, threshold, width, height):
     """Render the ternary reliability diagram as SVG."""
     pairs = _read_pairs(input_path)

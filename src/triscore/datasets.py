@@ -32,9 +32,7 @@ from .errors import (
 )
 from .gaussian import _climatology_z, gaussian_to_ternary, scale_params
 from .simplex import (
-    NEGATIVE_TOLERANCE,
     RESCALE_TOLERANCE,
-    SUM_TOLERANCE,
     CategoryThresholds,
     ObsCategory,
     TernaryProb,
@@ -204,16 +202,24 @@ def _build_record(
         raise cls(str(e), where) from None
 
 
-def _parse_obs_label(value, where: str) -> ObsCategory | None:
-    """An observed category label (B/N/A, any case); None if absent."""
+def _obs_category(value):
+    """A decoded label as a category; None if absent, _INVALID unless a
+    B/N/A string in any case."""
     if value is None:
         return None
     if not isinstance(value, str):
+        return _INVALID
+    return _OBS_LABELS.get(value.strip().upper(), _INVALID)
+
+
+def _parse_obs_label(value, where: str) -> ObsCategory | None:
+    """An observed category label (B/N/A, any case); None if absent."""
+    obs = _obs_category(value)
+    if obs is not _INVALID:
+        return obs
+    if not isinstance(value, str):
         raise SchemaError("obs must be a string label", where)
-    label = value.strip().upper()
-    if label not in ("B", "N", "A"):
-        raise SchemaError(f"obs must be one of B/N/A, got {value!r}", where)
-    return ObsCategory(label)
+    raise SchemaError(f"obs must be one of B/N/A, got {value!r}", where)
 
 
 def _decode(data: bytes) -> str:
@@ -282,8 +288,8 @@ def _csv_header(header: list[str]) -> list[str]:
 
 
 def _csv_record(header: list[str], row: list[str], where: str) -> ForecastRecord:
-    """Validate and build one CSV row field by field: the error path of
-    parse_csv, whose messages name the offending field."""
+    """Validate and build one CSV row field by field: parse_csv's path for
+    a row that is not plain, whose messages name the offending field."""
     if len(row) != len(header):
         raise SchemaError(f"expected {len(header)} fields, got {len(row)}", where)
     cells = dict(zip(header, map(str.strip, row)))
@@ -348,14 +354,13 @@ def parse_csv(data: bytes) -> Dataset:
             fields[name] = [float(text) if text else None for text in texts]
         except ValueError:
             fields[name] = list(map(_csv_cell, texts))
-    n = len(kept)
-    fixed = _check_columns(
-        n, fields, bad, lambda i: _csv_record(header, kept[i], f"row {rownums[i]}")
-    )
+    plain = _plain_rows(len(kept), fields, bad)
+    rebuilt = {i: _csv_record(header, kept[i], f"row {rownums[i]}")
+               for i in np.flatnonzero(~plain).tolist()}
     if error is not None:
         raise error
-    del kept, padded  # the records are built from the columns
-    return Dataset(records=_build_records(n, fields, fixed))
+    del kept, padded  # the plain records are built from the columns
+    return Dataset(records=_build_records(fields, rebuilt))
 
 
 def _json_float(value) -> float | None:
@@ -379,12 +384,18 @@ def json_floats(values, what: str, where: str | None = None) -> tuple[float, ...
     return out
 
 
-def _json_number(rec: dict, key: str, where: str) -> float | None:
-    value = rec.get(key)
+def _json_cell(value) -> float | None:
+    """A decoded JSON field as a float; None if absent, NaN unless a
+    finite number."""
     if value is None:
         return None
     number = _json_float(value)
-    if number is None:
+    return math.nan if number is None else number
+
+
+def _json_number(rec: dict, key: str, where: str) -> float | None:
+    number = _json_cell(rec.get(key))
+    if number is not None and math.isnan(number):
         raise SchemaError(f"{key} must be a finite number", f"{where}.{key}")
     return number
 
@@ -399,8 +410,9 @@ def _json_numbers(rec: dict, key: str, where: str) -> tuple[float, ...] | None:
 
 
 def _json_record(rec, where: str) -> ForecastRecord:
-    """Validate and build one JSON record field by field: the error path
-    of parse_json, whose messages name the offending field."""
+    """Validate and build one JSON record field by field: parse_json's
+    path for a record that is not plain, whose messages name the
+    offending field."""
     if not isinstance(rec, dict):
         raise SchemaError("record must be an object", where)
     return _build_record(
@@ -414,15 +426,6 @@ def _json_record(rec, where: str) -> ForecastRecord:
         obs_value=_json_number(rec, "obs_value", where),
         series=_json_numbers(rec, "series", where),
     )
-
-
-def _json_cell(value) -> float | None:
-    """A decoded JSON field as a float; None if absent, NaN unless a
-    finite number."""
-    if value is None:
-        return None
-    number = _json_float(value)
-    return math.nan if number is None else number
 
 
 def _json_array(value) -> tuple[float, ...] | None:
@@ -479,20 +482,11 @@ def parse_json(data: bytes) -> Dataset:
         elif not set(map(type, values)) <= {float, NoneType}:
             values = list(map(_json_cell, values))
         fields[key] = values
-    n = len(records)
-    fixed = _check_columns(n, fields, bad, lambda i: _json_record(records[i], f"records[{i}]"))
-    del doc, records, objects  # the records are built from the columns
-    return Dataset(records=_build_records(n, fields, fixed), q=q, metadata=dict(metadata))
-
-
-def _obs_category(value):
-    """A decoded label as a category; None if absent, _INVALID unless a
-    B/N/A string in any case."""
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        return _INVALID
-    return _OBS_LABELS.get(value.strip().upper(), _INVALID)
+    plain = _plain_rows(len(records), fields, bad)
+    rebuilt = {i: _json_record(records[i], f"records[{i}]")
+               for i in np.flatnonzero(~plain).tolist()}
+    del doc, records, objects  # the plain records are built from the columns
+    return Dataset(records=_build_records(fields, rebuilt), q=q, metadata=dict(metadata))
 
 
 def _obs_column(values: list) -> tuple[list, np.ndarray]:
@@ -514,90 +508,69 @@ def _given(values: list | None, n: int) -> np.ndarray:
     return np.array([v is not None for v in values], dtype=bool)
 
 
-def _float_column(values: list) -> tuple[np.ndarray, np.ndarray]:
-    """Floats, None where absent, as an array with NaN where absent, and
-    the mask of the present values that are not finite."""
-    column = np.array(values, dtype=float)
-    bad = ~np.isfinite(column)
-    if bad.any():
-        bad &= _given(values, len(values))
-    return column, bad
-
-
-def _check_columns(n: int, fields: dict, bad: np.ndarray, revalidate) -> dict:
-    """Every check of ``_build_record`` and ``ForecastRecord`` on ``n``
-    decoded rows, one column at a time.
+def _plain_rows(n: int, fields: dict, bad: np.ndarray) -> np.ndarray:
+    """Mask of the ``n`` decoded rows that ``_build_record`` accepts
+    unchanged.
 
     ``fields`` maps each number field to its per-row floats (None where
     absent, NaN where not a finite number), ``obs`` to categories and
     ``members`` and ``series`` to float tuples; a missing key is absent
-    from every row.  ``bad`` flags the rows whose fields did not decode
-    and gains the rows that fail a check.  The first flagged row goes to
-    ``revalidate(i)``, the parser's per-row path, which raises its
-    located error.  Otherwise the result maps each row whose triple
-    ``make_ternary`` clamps or renormalises to that triple.
+    from every row.  ``bad`` flags the rows whose fields did not decode.
+    A plain row decoded, has lat and lon in range, does not give both obs
+    and obs_value, and carries exactly one complete representation and no
+    other: a triple that ``make_ternary`` returns as given, four Gaussian
+    parameters with positive spreads, or members.  The per-row path
+    decides every other row.
     """
-    cols = {}
+    plain = ~bad
+    cols = {}  # NaN where absent
     for name in _NUMBER_FIELDS:
-        if name in fields:
-            cols[name], invalid = _float_column(fields[name])
-            bad |= invalid
-        else:
-            cols[name] = np.full(n, np.nan)
+        values = fields.get(name)
+        cols[name] = np.full(n, np.nan) if values is None else np.array(values, dtype=float)
+        if values is not None and not np.isfinite(cols[name]).all():
+            plain &= np.isfinite(cols[name]) | ~_given(values, n)
     lat, lon = cols["lat"], cols["lon"]
     p = np.stack([cols[k] for k in _TERNARY_FIELDS], axis=1)
     g = np.stack([cols[k] for k in _GAUSSIAN_FIELDS], axis=1)
-    given_t = np.count_nonzero(~np.isnan(p), axis=1)
-    given_g = np.count_nonzero(~np.isnan(g), axis=1)
-    given_obs = _given(fields.get("obs"), n)
-    clamped = np.where(p <= 0.0, 0.0, p)  # make_ternary's max(0.0, v) turns -0.0 into 0.0
-    total = clamped[:, 0] + clamped[:, 1] + clamped[:, 2]
-    off = np.abs(total - 1.0)
-    bad |= ~((-90.0 <= lat) & (lat <= 90.0)) | ~((-180.0 <= lon) & (lon <= 180.0))
-    bad |= (given_t > 0).astype(np.int8) + (given_g > 0) + _given(fields.get("members"), n) != 1
-    bad |= (given_t % 3 > 0) | (given_g % 4 > 0)
-    bad |= (p < NEGATIVE_TOLERANCE).any(axis=1) | (off > SUM_TOLERANCE)
-    bad |= (g[:, 1] <= 0.0) | (g[:, 3] <= 0.0) | (given_obs & ~np.isnan(cols["obs_value"]))
-    if bad.any():
-        i = int(np.argmax(bad))
-        revalidate(i)
-        raise RuntimeError(f"row {i} failed a column check but passed re-validation")
-
-    # make_ternary: clamp, divide by the total, then set the first largest
-    # component to one minus the other two
-    changed = np.signbit(p).any(axis=1) | (off > RESCALE_TOLERANCE)
-    change = np.flatnonzero((given_t == 3) & changed)
-    fixed = clamped[change]
-    scaled = np.flatnonzero(off[change] > RESCALE_TOLERANCE)
-    fixed[scaled] /= total[change[scaled], None]
-    k = np.argmax(fixed[scaled], axis=1)
-    fixed[scaled, k] = 1.0 - (fixed[scaled, (k + 1) % 3] + fixed[scaled, (k + 2) % 3])
-    return dict(zip(change.tolist(), (TernaryProb(*row) for row in fixed.tolist())))
+    # no component below +0.0 and a sum, added left to right as
+    # make_ternary adds it, that needs no rescaling; NaN fails the sum
+    ternary = ~np.signbit(p).any(axis=1) & (
+        np.abs(p[:, 0] + p[:, 1] + p[:, 2] - 1.0) <= RESCALE_TOLERANCE)
+    gaussian = ~np.isnan(g).any(axis=1) & (g[:, 1] > 0.0) & (g[:, 3] > 0.0)
+    no_ternary, no_gaussian = np.isnan(p).all(axis=1), np.isnan(g).all(axis=1)
+    members = _given(fields.get("members"), n)
+    plain &= (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
+    plain &= ~(_given(fields.get("obs"), n) & ~np.isnan(cols["obs_value"]))
+    plain &= (ternary & no_gaussian & ~members) | (gaussian & no_ternary & ~members) | (
+        members & no_ternary & no_gaussian)
+    return plain
 
 
-def _build_records(n: int, fields: dict, fixed: dict) -> tuple[ForecastRecord, ...]:
-    """The records of ``n`` rows that passed ``_check_columns``.
-
-    They hold the decoded floats themselves, except for the triples in
-    ``fixed``.
-    """
-    if n == 0:
+def _build_records(fields: dict, rebuilt: dict) -> tuple[ForecastRecord, ...]:
+    """The records of the decoded rows: ``rebuilt[i]`` at each row ``i``
+    that is not plain, and every plain row's record built from its
+    decoded floats themselves."""
+    if not fields:  # no rows
         return ()
     absent = repeat(None)
     ternary = gaussian = absent
     if all(k in fields for k in _TERNARY_FIELDS):
         ternary = [None if b is None else TernaryProb(b, nn, a)
                    for b, nn, a in zip(*(fields[k] for k in _TERNARY_FIELDS))]
-        for i, t in fixed.items():
-            ternary[i] = t
     if all(k in fields for k in _GAUSSIAN_FIELDS):
         gaussian = [None if values[0] is None else values
                     for values in zip(*(fields[k] for k in _GAUSSIAN_FIELDS))]
-    return tuple(map(
+    records = tuple(map(
         ForecastRecord, fields["lat"], fields["lon"], ternary, gaussian,
         fields.get("members", absent), fields.get("obs", absent),
         fields.get("obs_value", absent), fields.get("series", absent),
     ))
+    if not rebuilt:
+        return records
+    records = list(records)
+    for i, rec in rebuilt.items():
+        records[i] = rec
+    return tuple(records)
 
 
 def _record_object(rec: ForecastRecord) -> dict:

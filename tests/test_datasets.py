@@ -1,6 +1,8 @@
 import json
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -639,6 +641,101 @@ class TestColumnChecks:
     def test_csv_documents(self, lines):
         data = csv_bytes(*lines)
         assert outcome(parse_csv, data) == outcome(parse_csv_reference, data)
+
+
+# Triples that make_ternary clamps or renormalises, among plain rows.
+_FIXUPS = {
+    "negative-zero": {"pB": -0.0, "pN": 0.5, "pA": 0.5},
+    "below-zero": {"pB": -1e-12, "pN": 0.5, "pA": 0.5},
+    "sum-above-one": {"pB": 0.2, "pN": 0.3, "pA": 0.5 + 1e-12},
+    "sum-below-one": {"pB": 0.2, "pN": 0.3, "pA": 0.5 - 1e-12},
+    # off one by more than RESCALE_TOLERANCE only when added left to right
+    "sum-order": {"pB": 0.02218246899080989, "pN": 0.05923306057736204,
+                  "pA": 0.9185844704318291},
+}
+_POSITIONS = {"first": {0}, "middle": {2}, "last": {4}, "every": set(range(5))}
+
+
+def _spy_plain_rows(parse, data: bytes) -> dict:
+    """The decoded fields and the plain-row mask of one parse."""
+    seen = {}
+    plain_rows = datasets._plain_rows
+
+    def spy(n, fields, bad):
+        seen.update(fields=fields, plain=plain_rows(n, fields, bad))
+        return seen["plain"]
+
+    with mock.patch.object(datasets, "_plain_rows", spy):
+        try:
+            parse(data)
+        except TriscoreError:
+            pass
+    return seen
+
+
+def _row_from_columns(fields: dict, i: int) -> ForecastRecord:
+    return datasets._build_records({k: v[i:i + 1] for k, v in fields.items()}, {})[0]
+
+
+class TestPlainRows:
+    """Rows that are not plain go through the per-row path, in row order."""
+
+    @pytest.mark.parametrize("where", _POSITIONS)
+    @pytest.mark.parametrize("fixup", _FIXUPS)
+    def test_fixups_among_plain_rows(self, fixup, where):
+        rows = [{"lat": float(i), "lon": -float(i), "pB": 0.2, "pN": 0.3, "pA": 0.5,
+                 "obs": "BNA"[i % 3]} for i in range(5)]
+        for i in _POSITIONS[where]:
+            rows[i].update(_FIXUPS[fixup])
+        for parse, reference, data in ((parse_json, parse_json_reference, _as_json(*rows)),
+                                       (parse_csv, parse_csv_reference, _as_csv(*rows))):
+            assert outcome(parse, data) == outcome(reference, data)
+            assert [r.lat for r in parse(data).records] == [0.0, 1.0, 2.0, 3.0, 4.0]
+            plain = _spy_plain_rows(parse, data)["plain"]
+            assert set(np.flatnonzero(~plain).tolist()) == _POSITIONS[where]
+
+    @pytest.mark.parametrize("fixup, where", [
+        ("0,0,-0.0,0.5,0.5", "row 3: malformed CSV"),
+        ("0,0,0.2,0.3,0.500000000001", "row 3: malformed CSV"),
+        ("0,0,-1e-11,0.5,0.5", "row 2: pB = -1e-11 < 0"),
+    ], ids=["fixup-then-malformed", "rescale-then-malformed", "invalid-then-malformed"])
+    def test_csv_error_after_fixup(self, fixup, where):
+        data = csv_bytes("lat,lon,pB,pN,pA", fixup, '0,0,"' + "1" * 200_000 + '",0,0')
+        with pytest.raises(SchemaError) as err:
+            parse_csv(data)
+        assert str(err.value).startswith(where)
+        assert outcome(parse_csv, data) == outcome(parse_csv_reference, data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json_documents())
+    def test_json_plain_rows_accepted_unchanged(self, data):
+        seen = _spy_plain_rows(parse_json, data)
+        records = json.loads(data)["records"]
+        for i, rec in enumerate(records):
+            where = f"records[{i}]"
+            if seen["plain"][i]:
+                built = datasets._json_record(rec, where)
+                assert repr(built) == repr(_row_from_columns(seen["fields"], i))
+                continue
+            try:
+                built = datasets._json_record(rec, where)
+            except SchemaError:
+                continue
+            # a row the per-row path accepts is one make_ternary changed
+            raw = tuple(float(rec[k]) for k in ("pB", "pN", "pA"))
+            assert repr(built.ternary.as_tuple()) != repr(raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_csv_documents())
+    def test_csv_plain_rows_accepted_unchanged(self, data):
+        seen = _spy_plain_rows(parse_csv, data)
+        rows = datasets._csv_rows(data.decode())
+        header = datasets._csv_header(next(rows)[1])
+        kept = [(num, row) for num, row in rows if "".join(row).strip()]
+        for i, (num, row) in enumerate(kept):
+            if seen["plain"][i]:
+                built = datasets._csv_record(header, row, f"row {num}")
+                assert repr(built) == repr(_row_from_columns(seen["fields"], i))
 
 
 @st.composite

@@ -4,8 +4,8 @@ Datasets start from valid records and rows; each field is kept, dropped
 or replaced by a value a parser must reject (booleans, strings, huge
 integers, NaN, lists, objects).  Only package errors may leave the
 parsers, each the one the record-by-record reference raises, so a row
-the column checks flag always fails its re-validation.  Every command
-must end in exit 0, 2 or 3 without a traceback.
+that is not plain is built or rejected exactly as the reference does.
+Every command must end in exit 0, 2 or 3 without a traceback.
 """
 
 import csv
