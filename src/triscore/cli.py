@@ -6,6 +6,7 @@ Exit codes: 0 on success, 2 on malformed input or a path that cannot be
 read or written, 3 on mathematically invalid values (domain errors).
 """
 
+import codecs
 import json
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from . import __version__
 from .colors import PaletteParams
 from .datasets import (
     Dataset,
-    ForecastRecord,
+    _valid_record,
     check_lat_lon,
     json_floats,
     load_json,
@@ -61,7 +62,7 @@ class _Group(click.Group):
 def _read_dataset(path: str) -> Dataset:
     if path == "-":
         data = sys.stdin.buffer.read()
-        sniff = data.lstrip()[:1]
+        sniff = data.removeprefix(codecs.BOM_UTF8).lstrip()[:1]
         return parse_json(data) if sniff == b"{" else parse_csv(data)
     data = Path(path).read_bytes()
     if path.lower().endswith(".json"):
@@ -178,7 +179,8 @@ def project(input_path, output_path, map_path, clip):
                 n_off += 1
             # unclipped off-simplex values fail here as a domain error
             p = res.to_ternary()
-        return ForecastRecord(lat=rec.lat, lon=rec.lon, ternary=p, obs=obs)
+        # resolved from a valid record, so valid too
+        return _valid_record(rec.lat, rec.lon, p, None, None, obs, None, None)
 
     records = resolve_records(dataset, resolve)
     out = Dataset(records=tuple(records), q=dataset.q, metadata=dataset.metadata)

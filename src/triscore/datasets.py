@@ -90,6 +90,25 @@ class ForecastRecord:
         check_lat_lon(self.lat, self.lon)
 
 
+def _valid_record(lat, lon, ternary, gaussian, members, obs, obs_value, series) -> ForecastRecord:
+    """A ForecastRecord of fields already known to pass its checks, built
+    without running them again."""
+    # one attribute at a time, in field order: a record then shares its
+    # attribute names with every other, where a whole new __dict__ would
+    # double its size
+    rec = object.__new__(ForecastRecord)
+    setattr_ = object.__setattr__
+    setattr_(rec, "lat", lat)
+    setattr_(rec, "lon", lon)
+    setattr_(rec, "ternary", ternary)
+    setattr_(rec, "gaussian", gaussian)
+    setattr_(rec, "members", members)
+    setattr_(rec, "obs", obs)
+    setattr_(rec, "obs_value", obs_value)
+    setattr_(rec, "series", series)
+    return rec
+
+
 @dataclass(frozen=True)
 class Dataset:
     records: tuple[ForecastRecord, ...]
@@ -223,8 +242,9 @@ def _parse_obs_label(value, where: str) -> ObsCategory | None:
 
 
 def _decode(data: bytes) -> str:
+    """UTF-8 text without one leading byte-order mark."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as e:
         raise SchemaError(f"input is not UTF-8: {e}") from None
 
@@ -560,8 +580,9 @@ def _build_records(fields: dict, rebuilt: dict) -> tuple[ForecastRecord, ...]:
     if all(k in fields for k in _GAUSSIAN_FIELDS):
         gaussian = [None if values[0] is None else values
                     for values in zip(*(fields[k] for k in _GAUSSIAN_FIELDS))]
+    # _plain_rows has checked every row that is not rebuilt
     records = tuple(map(
-        ForecastRecord, fields["lat"], fields["lon"], ternary, gaussian,
+        _valid_record, fields["lat"], fields["lon"], ternary, gaussian,
         fields.get("members", absent), fields.get("obs", absent),
         fields.get("obs_value", absent), fields.get("series", absent),
     ))

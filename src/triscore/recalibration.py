@@ -14,6 +14,7 @@ needed.  Mapped forecasts may leave the simplex, which is reported and
 can optionally be repaired by Euclidean projection.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,9 @@ class QuadraticMap:
         if len(cs) != 12 or not all(np.isfinite(cs)):
             raise EmptyDataset("a quadratic map needs 12 finite coefficients")
         object.__setattr__(self, "coeffs", cs)
+        # the coefficient rows of pB~ and pA~, for apply_map
+        object.__setattr__(self, "_cB", np.array(cs[:6]))
+        object.__setattr__(self, "_cA", np.array(cs[6:]))
 
     @classmethod
     def identity(cls) -> "QuadraticMap":
@@ -62,28 +66,43 @@ def apply_map(mapping: QuadraticMap, p: TernaryProb, clip: bool = False) -> Affi
     ``clip`` the result is Euclidean-projected onto the simplex first
     (the flag still reports where the unclipped value landed).
     """
+    # numpy's dot, not a Python sum: the two round differently
     f = np.array(_features(p.pB, p.pA))
-    c = np.asarray(mapping.coeffs)
-    tB = float(f @ c[:6])
-    tA = float(f @ c[6:])
+    tB = float(f @ mapping._cB)
+    tA = float(f @ mapping._cA)
     tN = 1.0 - tB - tA
     on_simplex = tB >= NEGATIVE_TOLERANCE and tN >= NEGATIVE_TOLERANCE and tA >= NEGATIVE_TOLERANCE
     if clip and not on_simplex:
-        tB, tN, tA = project_to_simplex(np.array([tB, tN, tA]))
+        tB, tN, tA = _project3(tB, tN, tA)
     return AffineTernary(tB, tN, tA, on_simplex)
 
 
 def project_to_simplex(v: np.ndarray) -> tuple[float, float, float]:
     """Euclidean projection of a 3-vector onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = 0
-    for j in range(3):
-        if u[j] + (1.0 - css[j]) / (j + 1) > 0.0:
-            rho = j
-    lam = (1.0 - css[rho]) / (rho + 1)
-    w = np.maximum(v + lam, 0.0)
-    return (float(w[0]), float(w[1]), float(w[2]))
+    return _project3(float(v[0]), float(v[1]), float(v[2]))
+
+
+def _project3(v0: float, v1: float, v2: float) -> tuple[float, float, float]:
+    """The sort-based projection (Duchi et al. 2008) of (v0, v1, v2).
+
+    With the components sorted descending as u and their running sums
+    c, the shift is lam = (1 - c[rho]) / (rho + 1) for the last rho with
+    u[rho] + (1 - c[rho]) / (rho + 1) > 0; each result is v + lam, or
+    0.0 if that is below zero.  A NaN component makes every result NaN.
+    """
+    if v0 != v0 or v1 != v1 or v2 != v2:
+        return (math.nan, math.nan, math.nan)
+    u0, u1, u2 = sorted((v0, v1, v2), reverse=True)
+    c1 = u0 + u1
+    c2 = c1 + u2
+    if u2 + (1.0 - c2) / 3 > 0.0:
+        lam = (1.0 - c2) / 3
+    elif u1 + (1.0 - c1) / 2 > 0.0:
+        lam = (1.0 - c1) / 2
+    else:
+        lam = 1.0 - u0
+    # max returns its first argument for NaN (inf - inf), as np.maximum does
+    return (max(v0 + lam, 0.0), max(v1 + lam, 0.0), max(v2 + lam, 0.0))
 
 
 def _mean_score(coeffs: np.ndarray, design: np.ndarray, target: np.ndarray) -> float:

@@ -82,7 +82,7 @@ class ScoringRule:
     Instances are immutable and safe to share between threads.
     """
 
-    __slots__ = ("L", "LtL", "b", "n", "a", "phi", "Mhat", "Minv", "q0", "U0", "_v")
+    __slots__ = ("L", "LtL", "b", "n", "a", "phi", "Mhat", "Minv", "q0", "U0", "_v", "_LtL9")
 
     def __init__(self, L: np.ndarray):
         L = np.asarray(L, dtype=float)
@@ -141,6 +141,7 @@ class ScoringRule:
         object.__setattr__(self, "q0", q0)
         object.__setattr__(self, "U0", U0)
         object.__setattr__(self, "_v", v)
+        object.__setattr__(self, "_LtL9", tuple(A.ravel().tolist()))
 
     def __setattr__(self, name, value):
         raise AttributeError("ScoringRule is immutable")
@@ -171,8 +172,12 @@ def custom_rule(L: np.ndarray) -> ScoringRule:
 
 def score(rule: ScoringRule, p: TernaryProb, o: TernaryProb) -> float:
     """Quadratic score (p-o)' L'L (p-o); zero iff p equals o."""
-    d = p.as_array() - o.as_array()
-    return max(0.0, float(d @ rule.LtL @ d))
+    dB, dN, dA = p.pB - o.pB, p.pN - o.pN, p.pA - o.pA
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = rule._LtL9
+    # (d' L'L) d, each sum taken left to right
+    return max(0.0, (dB * a00 + dN * a10 + dA * a20) * dB
+               + (dB * a01 + dN * a11 + dA * a21) * dN
+               + (dB * a02 + dN * a12 + dA * a22) * dA)
 
 
 def to_bary(rule: ScoringRule, p: TernaryProb) -> BaryPoint:

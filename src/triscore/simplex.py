@@ -56,21 +56,23 @@ class ObsCategory(Enum):
     N = "N"
     A = "A"
 
+    # both look up by the value string: hashing a member calls the
+    # Python-level Enum.__hash__
     def to_ternary(self) -> TernaryProb:
         """Corner of the simplex carrying all mass in this category."""
-        return _CORNERS[self]
+        return _CORNERS[self._value_]
 
     @property
     def index(self) -> int:
-        return _INDEX[self]
+        return _INDEX[self._value_]
 
 
 _CORNERS = {
-    ObsCategory.B: TernaryProb(1.0, 0.0, 0.0),
-    ObsCategory.N: TernaryProb(0.0, 1.0, 0.0),
-    ObsCategory.A: TernaryProb(0.0, 0.0, 1.0),
+    "B": TernaryProb(1.0, 0.0, 0.0),
+    "N": TernaryProb(0.0, 1.0, 0.0),
+    "A": TernaryProb(0.0, 0.0, 1.0),
 }
-_INDEX = {ObsCategory.B: 0, ObsCategory.N: 1, ObsCategory.A: 2}
+_INDEX = {"B": 0, "N": 1, "A": 2}
 
 #: The uniform climatology (1/3, 1/3, 1/3), the default benchmark.
 UNIFORM = TernaryProb(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
@@ -103,8 +105,16 @@ def make_ternary(pB: float, pN: float, pA: float) -> TernaryProb:
     :class:`NegativeProbability`; sums farther than ``SUM_TOLERANCE``
     from one raise :class:`NotNormalised`.  Within those tolerances the
     triple is renormalised so the float components sum to exactly 1.0.
+
+    A triple with no component below zero whose sum, added left to
+    right, is within ``RESCALE_TOLERANCE`` of one is returned as given,
+    with -0.0 turned into +0.0; any other triple goes through the checks
+    in the order above.
     """
-    vals = [float(pB), float(pN), float(pA)]
+    b, n, a = float(pB), float(pN), float(pA)
+    if b >= 0.0 and n >= 0.0 and a >= 0.0 and abs(b + n + a - 1.0) <= RESCALE_TOLERANCE:
+        return TernaryProb(b + 0.0, n + 0.0, a + 0.0)
+    vals = [b, n, a]
     for name, v in zip("BNA", vals):
         if not math.isfinite(v):
             raise NotNormalised(f"p{name} is not finite: {v}")

@@ -1,5 +1,7 @@
+import codecs
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +110,16 @@ class TestVerify:
         data = write_json(frozen_dataset())
         out = run_json(runner, ["verify", "-i", "-"], input=data)
         assert out["n_pairs"] == 240
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_byte_order_mark(self, runner, tmp_path, dataset_json, dataset_csv, fmt):
+        # as written by spreadsheet "CSV UTF-8" exports: skipped, on stdin too
+        path = Path(dataset_json if fmt == "json" else dataset_csv)
+        want = run_json(runner, ["verify", "-i", str(path)])
+        marked = tmp_path / f"bom.{fmt}"
+        marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert run_json(runner, ["verify", "-i", str(marked)]) == want
+        assert run_json(runner, ["verify", "-i", "-"], input=marked.read_bytes()) == want
 
 
 class TestVersion:

@@ -1,3 +1,5 @@
+import codecs
+import dataclasses
 import json
 import math
 from unittest import mock
@@ -208,6 +210,15 @@ class TestParseCsv:
             parse_csv(csv_bytes("lat,lon,pB,pN,pA,pA", "0,0,0.2,0.3,0.9,0.5"))
         assert str(err.value) == "row 1: duplicate column 'pA'"
 
+    def test_leading_byte_order_mark_is_skipped(self):
+        data = csv_bytes("lat,lon,pB,pN,pA,obs", "0,0,0.2,0.3,0.5,B")
+        assert parse_csv(codecs.BOM_UTF8 + data) == parse_csv(data)
+
+    def test_second_byte_order_mark_is_an_error(self):
+        with pytest.raises(SchemaError) as err:
+            parse_csv(codecs.BOM_UTF8 * 2 + csv_bytes("lat,lon,pB,pN,pA", "0,0,1,0,0"))
+        assert str(err.value) == r"row 1: unknown column '\ufefflat'"
+
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(SchemaError):
             parse_csv(csv_bytes("lat,lon,mu,sigma,mu_c,sigma_c", "0,0,7,0,5,2"))
@@ -255,6 +266,17 @@ class TestParseJson:
     def test_not_utf8(self):
         with pytest.raises(SchemaError):
             parse_json(b"\xff\xfe{}")
+
+    def test_leading_byte_order_mark_is_skipped(self):
+        data = write_json(Dataset(records=(ForecastRecord(lat=0.0, lon=0.0, ternary=UNIFORM),)))
+        assert parse_json(codecs.BOM_UTF8 + data) == parse_json(data)
+
+    @pytest.mark.parametrize("data", [codecs.BOM_UTF8 * 2 + b'{"records": []}',
+                                      b' ' + codecs.BOM_UTF8 + b'{"records": []}'],
+                             ids=["second", "after-space"])
+    def test_other_byte_order_marks_are_errors(self, data):
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            parse_json(data)
 
 
 class TestRoundtrip:
@@ -366,6 +388,19 @@ class TestRecordValidation:
     def test_two_forecasts_rejected(self):
         with pytest.raises(MixedRepresentation):
             ForecastRecord(lat=0, lon=0, ternary=UNIFORM, members=(1.0,))
+
+    def test_parsed_records_equal_constructed_ones(self):
+        data = _as_json({"lat": 1.0, "lon": 2.0, "pB": 0.2, "pN": 0.3, "pA": 0.5, "obs": "B"},
+                        {"lat": 3.0, "lon": 4.0, "mu": 1.0, "sigma": 2.0, "mu_c": 0.0,
+                         "sigma_c": 1.0, "obs_value": 0.5})
+        for rec in parse_json(data).records:
+            built = ForecastRecord(**{f.name: getattr(rec, f.name)
+                                      for f in dataclasses.fields(ForecastRecord)})
+            assert rec == built and hash(rec) == hash(built) and repr(rec) == repr(built)
+            assert vars(rec) == vars(built) and list(vars(rec)) == list(vars(built))
+            # a record changed through the constructor is checked again
+            with pytest.raises(SchemaError):
+                dataclasses.replace(rec, lat=91.0)
 
 
 _ALL_COLUMNS = ("lat", "lon", "pB", "pN", "pA", "mu", "sigma", "mu_c", "sigma_c",

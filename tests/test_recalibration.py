@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,8 @@ from triscore import (
     score,
 )
 from triscore.errors import EmptyDataset
+from triscore.scoring import AffineTernary
+from triscore.simplex import NEGATIVE_TOLERANCE, TernaryProb
 from triscore.recalibration import _assemble, project_to_simplex
 from triscore.verification import _pair_arrays
 
@@ -263,3 +268,91 @@ class TestRecalibrationReport:
         rep = recalibration_report(pairs, fit_map(pairs, brier), brier, nbins=11)
         assert rep.before.identity_gap() <= 1e-10
         assert rep.after.identity_gap() <= 1e-10
+
+
+def project_reference(v):
+    """The array projection with np.sort and np.cumsum: the reference
+    for the float projection."""
+    with np.errstate(all="ignore"):  # inf and NaN inputs
+        u = np.sort(v)[::-1]
+        css = np.cumsum(u)
+        rho = 0
+        for j in range(3):
+            if u[j] + (1.0 - css[j]) / (j + 1) > 0.0:
+                rho = j
+        lam = (1.0 - css[rho]) / (rho + 1)
+        w = np.maximum(v + lam, 0.0)
+    return (float(w[0]), float(w[1]), float(w[2]))
+
+
+def apply_map_reference(mapping, p, clip=False):
+    """The map with the coefficients converted and sliced per call and
+    the array projection: the reference for apply_map."""
+    f = np.array([1.0, p.pB, p.pA, p.pB * p.pB, p.pB * p.pA, p.pA * p.pA])
+    c = np.asarray(mapping.coeffs)
+    tB = float(f @ c[:6])
+    tA = float(f @ c[6:])
+    tN = 1.0 - tB - tA
+    on_simplex = tB >= NEGATIVE_TOLERANCE and tN >= NEGATIVE_TOLERANCE and tA >= NEGATIVE_TOLERANCE
+    if clip and not on_simplex:
+        tB, tN, tA = project_reference(np.array([tB, tN, tA]))
+    return AffineTernary(tB, tN, tA, on_simplex)
+
+
+def _bits(values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+# few distinct values, so that mapped components tie or are exactly zero
+_POOL = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25, 2.0, 1 / 3)
+_pooled = st.one_of(st.sampled_from(_POOL), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _forecasts(draw):
+    """Simplex points: corners, edge midpoints with signed zeros, or random."""
+    pick = draw(st.sampled_from(["pool", "random"]))
+    if pick == "pool":
+        return TernaryProb(*draw(st.sampled_from([
+            (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.0, 0.5),
+            (0.5, -0.0, 0.5), (-0.0, 0.5, 0.5), (0.25, 0.5, 0.25), (1 / 3, 1 / 3, 1 / 3)])))
+    a = draw(st.floats(0.0, 1.0))
+    b = draw(st.floats(0.0, 1.0 - a))
+    return make_ternary(a, b, max(0.0, 1.0 - a - b))
+
+
+class TestFloatKernelsMatchReference:
+    @settings(max_examples=1500, deadline=None)
+    @given(st.lists(_pooled, min_size=12, max_size=12), _forecasts(), st.booleans())
+    def test_apply_map(self, coeffs, p, clip):
+        mapping = QuadraticMap(tuple(coeffs))
+        got, want = apply_map(mapping, p, clip=clip), apply_map_reference(mapping, p, clip=clip)
+        assert got.on_simplex == want.on_simplex
+        assert _bits(got.as_array()) == _bits(want.as_array())
+
+    @settings(max_examples=1500, deadline=None)
+    @given(st.one_of(
+        st.lists(st.one_of(
+            st.sampled_from(_POOL + (math.inf, -math.inf, math.nan, 1e308)),
+            st.floats(-3.0, 3.0), st.floats(allow_nan=False)), min_size=3, max_size=3),
+        # a simplex point moved a little, as off-simplex mapped forecasts are
+        st.builds(lambda p, shift, noise: [x + shift + e for x, e in zip(p.as_tuple(), noise)],
+                  _forecasts(), st.floats(-0.1, 0.1),
+                  st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3))))
+    def test_project_to_simplex(self, v):
+        v = np.array(v)
+        assert _bits(project_to_simplex(v)) == _bits(project_reference(v))
+
+    @pytest.mark.parametrize("v", [
+        (0.5, 0.5, 0.5), (0.0, 0.0, 0.0), (-0.0, 0.0, 1.0), (0.0, -0.0, 1.0), (1.0, 1.0, -1.0),
+        (2.0, -1.0, 0.0), (math.inf, -math.inf, 1.0), (-math.inf, math.inf, 1.0),
+        (1.0, -math.inf, math.inf), (math.nan, 0.2, 0.8), (0.2, 0.8, math.nan),
+        (1e308, 1e308, -1e308), (-0.0, -0.0, -0.0),
+        # the shift test of rho = 2, then of rho = 1, is exactly zero
+        (0.9289237831317347, 0.5609956869618402, 0.2449597350467875),
+        (2.9120685437784988, 1.9120685437784983, 0.32695848188308907),
+        (1.8897083774517072, 0.8897083774517069, -0.6244629616909407),
+    ])
+    def test_project_to_simplex_fixed_cases(self, v):
+        v = np.array(v)
+        assert _bits(project_to_simplex(v)) == _bits(project_reference(v))

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triscore import (
     BaryPoint,
     ObsCategory,
+    TernaryProb,
     UNIFORM,
+    brier_rule,
     custom_rule,
     from_bary,
     make_ternary,
+    rps_rule,
     score,
     to_bary,
     uncertainty,
@@ -115,6 +120,31 @@ class TestScore:
         # oracle: 0.5 * (0.5^2 + (0.8 - 1)^2)
         p = make_ternary(0.5, 0.3, 0.2)
         assert score(rps, p, O_N) == pytest.approx(0.145, abs=1e-12)
+
+
+def score_reference(rule, p, o):
+    """The quadratic form in numpy: the reference for score."""
+    d = p.as_array() - o.as_array()
+    return max(0.0, float(d @ rule.LtL @ d))
+
+
+_simplex_points = st.builds(
+    lambda w: TernaryProb(*(np.array(w) / sum(w)).tolist()),
+    st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda w: sum(w) > 0.0))
+
+
+class TestScoreMatchesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 2**32 - 1), _simplex_points,
+           st.one_of(_simplex_points, st.sampled_from([O_B, O_N, O_A])))
+    def test_float_form(self, seed, p, o):
+        rules = [brier_rule(), rps_rule(), *random_pd_rules(np.random.default_rng(seed), 2)]
+        d = np.abs(p.as_array() - o.as_array())
+        for rule in rules:
+            # 1e-15, or relative to the size of the terms where they are
+            # larger than one, as a random rule's can be
+            tol = 1e-15 * max(1.0, float(d @ np.abs(rule.LtL) @ d))
+            assert abs(score(rule, p, o) - score_reference(rule, p, o)) <= tol
 
 
 class TestBaryMaps:

@@ -1,6 +1,10 @@
 import math
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triscore import (
     CategoryThresholds,
@@ -16,6 +20,13 @@ from triscore.errors import (
     NegativeProbability,
     NonMonotoneCDF,
     NotNormalised,
+    TriscoreError,
+)
+from triscore.simplex import (
+    NEGATIVE_TOLERANCE,
+    RESCALE_TOLERANCE,
+    SUM_TOLERANCE,
+    TernaryProb,
 )
 
 from conftest import random_simplex
@@ -169,3 +180,98 @@ def test_random_simplex_valid(rng):
         p = make_ternary(*row)
         assert min(p.as_tuple()) >= 0.0
         assert math.isclose(sum(p.as_tuple()), 1.0, abs_tol=1e-9)
+
+
+def make_ternary_reference(pB, pN, pA):
+    """Check, clamp and renormalise in one loop: the reference for
+    make_ternary's fast path."""
+    vals = [float(pB), float(pN), float(pA)]
+    for name, v in zip("BNA", vals):
+        if not math.isfinite(v):
+            raise NotNormalised(f"p{name} is not finite: {v}")
+        if v < NEGATIVE_TOLERANCE:
+            raise NegativeProbability(f"p{name} = {v} < 0")
+    vals = [max(0.0, v) for v in vals]
+    total = vals[0] + vals[1] + vals[2]
+    if abs(total - 1.0) > SUM_TOLERANCE:
+        raise NotNormalised(f"probabilities sum to {total}, not 1")
+    if abs(total - 1.0) > RESCALE_TOLERANCE:
+        vals = [v / total for v in vals]
+        k = max(range(3), key=lambda i: vals[i])
+        vals[k] = 1.0 - (vals[(k + 1) % 3] + vals[(k + 2) % 3])
+    return TernaryProb(*vals)
+
+
+def _outcome(make, *args):
+    """The bits and types of the components, or the error class and message."""
+    try:
+        p = make(*args)
+    except TriscoreError as e:
+        return type(e), str(e)
+    return struct.pack("<3d", *p.as_tuple()), tuple(map(type, p.as_tuple()))
+
+
+_SPECIAL = (0.0, -0.0, 1.0, math.nan, math.inf, -math.inf, NEGATIVE_TOLERANCE,
+            math.nextafter(NEGATIVE_TOLERANCE, -1.0), -5e-324, 5e-324)
+# offsets of the third component from a sum of exactly one
+_OFFSETS = (0.0, RESCALE_TOLERANCE, 2 * RESCALE_TOLERANCE, 1e-12, SUM_TOLERANCE,
+            math.nextafter(SUM_TOLERANCE, 1.0), 2 * SUM_TOLERANCE)
+
+
+@st.composite
+def _triples(draw):
+    """Triples on, near and off the simplex, as floats, ints or numpy floats."""
+    kind = draw(st.sampled_from(["near", "any", "ints"]))
+    if kind == "near":
+        a = draw(st.floats(0.0, 1.0))
+        b = draw(st.floats(0.0, 1.0 - a))
+        c = 1.0 - a - b + draw(st.sampled_from(_OFFSETS)) * draw(st.sampled_from((1.0, -1.0)))
+        for _ in range(draw(st.integers(0, 3))):
+            c = math.nextafter(c, draw(st.sampled_from((-1.0, 2.0))))
+        vals = draw(st.permutations([a, b, c]))
+        if draw(st.booleans()):  # a component just below zero, or a signed zero
+            vals[draw(st.integers(0, 2))] = draw(st.one_of(
+                st.floats(-1e-12, 0.0, exclude_max=True), st.sampled_from(_SPECIAL)))
+    elif kind == "any":
+        vals = draw(st.lists(st.one_of(st.sampled_from(_SPECIAL), st.floats(-2.0, 2.0)),
+                             min_size=3, max_size=3))
+    else:
+        vals = draw(st.lists(st.one_of(st.integers(-1, 2), st.booleans()), min_size=3, max_size=3))
+    cast = draw(st.sampled_from((lambda v: v, np.float64, np.float32)))
+    return [v if isinstance(v, int) else cast(v) for v in vals]
+
+
+class TestMakeTernaryReference:
+    @settings(max_examples=2000, deadline=None)
+    @given(_triples())
+    def test_matches_loop(self, vals):
+        assert _outcome(make_ternary, *vals) == _outcome(make_ternary_reference, *vals)
+
+    @pytest.mark.parametrize("vals", [
+        (0.2, 0.5, 0.3), (-0.0, 0.5, 0.5), (-0.0, -0.0, 1.0), (1, 0, 0), (True, False, False),
+        (np.float64(0.25), np.float64(0.5), np.float64(0.25)),
+        (np.float32(0.1), np.float32(0.2), np.float32(0.7)),
+        (0.5, 0.5, 1e-12), (0.5, 0.5, -1e-12), (0.5, 0.5, 1e-15), (0.5, 0.5, 2e-15),
+        (0.5, 0.5, SUM_TOLERANCE), (0.5, 0.5, 2 * SUM_TOLERANCE), (0.5, 0.5, -5e-324),
+        (math.nan, 0.5, 0.5), (0.5, math.inf, 0.5), (0.5, 0.5, -math.inf),
+        (-0.5, 1.0, 0.5), (0.1, 0.2, 0.7),  # 0.1 + 0.2 + 0.7 rounds to 1 + 2.2e-16
+    ])
+    def test_fixed_cases(self, vals):
+        assert _outcome(make_ternary, *vals) == _outcome(make_ternary_reference, *vals)
+
+
+# the member-keyed tables the enum looked values up in
+_CORNERS_REFERENCE = {
+    ObsCategory.B: TernaryProb(1.0, 0.0, 0.0),
+    ObsCategory.N: TernaryProb(0.0, 1.0, 0.0),
+    ObsCategory.A: TernaryProb(0.0, 0.0, 1.0),
+}
+_INDEX_REFERENCE = {ObsCategory.B: 0, ObsCategory.N: 1, ObsCategory.A: 2}
+
+
+@pytest.mark.parametrize("cat", list(ObsCategory))
+def test_obs_lookups_match_reference(cat):
+    assert cat.index == _INDEX_REFERENCE[cat]
+    assert cat.to_ternary() == _CORNERS_REFERENCE[cat]
+    assert struct.pack("<3d", *cat.to_ternary().as_tuple()) == struct.pack(
+        "<3d", *_CORNERS_REFERENCE[cat].as_tuple())
