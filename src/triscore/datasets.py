@@ -47,7 +47,7 @@ _TERNARY_FIELDS = ("pB", "pN", "pA")
 _GAUSSIAN_FIELDS = ("mu", "sigma", "mu_c", "sigma_c")
 _NUMBER_FIELDS = ("lat", "lon", *_TERNARY_FIELDS, *_GAUSSIAN_FIELDS, "obs_value")
 _OBS_LABELS = {c.value: c for c in ObsCategory}
-_INVALID = object()  # a decoded label that is not B/N/A
+_INVALID = object()  # a decoded label or array that is not valid
 
 
 def _check_representation(ternary, gaussian, members) -> None:
@@ -215,7 +215,8 @@ def _build_record(
             gaussian = tuple(gaussian)
         if obs is not None and obs_value is not None:
             raise SchemaError("record supplies both obs and obs_value")
-        return ForecastRecord(lat, lon, ternary, gaussian, members, obs, obs_value, series)
+        check_lat_lon(lat, lon)
+        return _valid_record(lat, lon, ternary, gaussian, members, obs, obs_value, series)
     except TriscoreError as e:
         cls = type(e) if isinstance(e, SchemaError) else SchemaError
         raise cls(str(e), where) from None
@@ -252,11 +253,11 @@ def _decode(data: bytes) -> str:
 def load_json(data: str | bytes, what: str):
     """Decode a JSON document; any failure is a SchemaError "<what>: <reason>".
 
-    Bytes must be UTF-8.  Nesting too deep for the decoder's recursion
-    is one such failure.
+    Bytes must be UTF-8, after at most one leading byte-order mark.
+    Nesting too deep for the decoder's recursion is one such failure.
     """
     try:
-        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        return json.loads(data.decode("utf-8-sig") if isinstance(data, bytes) else data)
     except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
         raise SchemaError(f"{what}: {e}") from None
 
@@ -357,24 +358,20 @@ def parse_csv(data: bytes) -> Dataset:
                 rownums.append(rownum)
     except SchemaError as e:  # rows before the malformed one are checked first
         error = e
-    bad = np.zeros(len(kept), dtype=bool)
-    padded = kept
-    if set(map(len, kept)) - {width}:
-        bad = np.array([len(row) != width for row in kept])
-        padded = [[""] * width if short else row for short, row in zip(bad.tolist(), kept)]
+    # a row of another width decodes as blank cells, so without lat
+    padded = [row if len(row) == width else [""] * width for row in kept]
 
     fields = {}
     for name, cells in zip(header, zip(*padded)):
         texts = list(map(str.strip, cells))
         if name == "obs":
-            fields[name], invalid = _obs_column([text or None for text in texts])
-            bad |= invalid
+            fields[name] = _obs_column([text or None for text in texts])
             continue
         try:
             fields[name] = [float(text) if text else None for text in texts]
         except ValueError:
             fields[name] = list(map(_csv_cell, texts))
-    plain = _plain_rows(len(kept), fields, bad)
+    plain = _plain_rows(len(kept), fields)
     rebuilt = {i: _csv_record(header, kept[i], f"row {rownums[i]}")
                for i in np.flatnonzero(~plain).tolist()}
     if error is not None:
@@ -448,12 +445,15 @@ def _json_record(rec, where: str) -> ForecastRecord:
     )
 
 
-def _json_array(value) -> tuple[float, ...] | None:
-    """A non-empty JSON array of finite numbers as floats; None otherwise."""
-    if type(value) is not list or not value:
+def _json_array(value):
+    """A decoded JSON array as floats; None if absent, _INVALID unless a
+    non-empty array of finite numbers."""
+    if value is None:
         return None
+    if type(value) is not list or not value:
+        return _INVALID
     out = tuple(map(_json_float, value))
-    return None if None in out else out
+    return _INVALID if None in out else out
 
 
 def parse_json(data: bytes) -> Dataset:
@@ -481,11 +481,8 @@ def parse_json(data: bytes) -> Dataset:
         raise SchemaError("metadata must map strings to strings", "metadata")
 
     records = doc["records"]
-    bad = np.zeros(len(records), dtype=bool)
-    objects = records
-    if not set(map(type, records)) <= {dict}:
-        bad = np.array([type(rec) is not dict for rec in records])
-        objects = [{} if other else rec for other, rec in zip(bad.tolist(), records)]
+    # a record that is not an object decodes as one without lat
+    objects = [rec if type(rec) is dict else {} for rec in records]
 
     fields = {}  # the keys some record holds
     for key in (*_NUMBER_FIELDS, "obs", "members", "series"):
@@ -493,32 +490,27 @@ def parse_json(data: bytes) -> Dataset:
         if values.count(None) == len(values):
             continue
         if key == "obs":
-            values, invalid = _obs_column(values)
-            bad |= invalid
+            values = _obs_column(values)
         elif key in ("members", "series"):
-            arrays = list(map(_json_array, values))
-            bad |= np.array([a is None and v is not None for a, v in zip(arrays, values)])
-            values = arrays
+            values = list(map(_json_array, values))
         elif not set(map(type, values)) <= {float, NoneType}:
             values = list(map(_json_cell, values))
         fields[key] = values
-    plain = _plain_rows(len(records), fields, bad)
+    plain = _plain_rows(len(records), fields)
     rebuilt = {i: _json_record(records[i], f"records[{i}]")
                for i in np.flatnonzero(~plain).tolist()}
     del doc, records, objects  # the plain records are built from the columns
     return Dataset(records=_build_records(fields, rebuilt), q=q, metadata=dict(metadata))
 
 
-def _obs_column(values: list) -> tuple[list, np.ndarray]:
-    """Observed labels as categories, None where absent, and the mask of
-    the invalid ones."""
+def _obs_column(values: list) -> list:
+    """Observed labels as categories: None where absent, _INVALID where
+    not a B/N/A string."""
     if set(map(type, values)) <= {str, NoneType}:
         # a column holds few distinct labels: convert each once
         table = {value: _obs_category(value) for value in set(values)}
-        obs = list(map(table.__getitem__, values))
-    else:
-        obs = list(map(_obs_category, values))
-    return obs, np.array([o is _INVALID for o in obs], dtype=bool)
+        return list(map(table.__getitem__, values))
+    return list(map(_obs_category, values))
 
 
 def _given(values: list | None, n: int) -> np.ndarray:
@@ -528,21 +520,24 @@ def _given(values: list | None, n: int) -> np.ndarray:
     return np.array([v is not None for v in values], dtype=bool)
 
 
-def _plain_rows(n: int, fields: dict, bad: np.ndarray) -> np.ndarray:
+def _plain_rows(n: int, fields: dict) -> np.ndarray:
     """Mask of the ``n`` decoded rows that ``_build_record`` accepts
     unchanged.
 
     ``fields`` maps each number field to its per-row floats (None where
     absent, NaN where not a finite number), ``obs`` to categories and
-    ``members`` and ``series`` to float tuples; a missing key is absent
-    from every row.  ``bad`` flags the rows whose fields did not decode.
-    A plain row decoded, has lat and lon in range, does not give both obs
-    and obs_value, and carries exactly one complete representation and no
-    other: a triple that ``make_ternary`` returns as given, four Gaussian
-    parameters with positive spreads, or members.  The per-row path
-    decides every other row.
+    ``members`` and ``series`` to float tuples (None where absent,
+    _INVALID where they did not decode); a missing key is absent from
+    every row.  A plain row decoded, has lat and lon in range, does not
+    give both obs and obs_value, and carries exactly one complete
+    representation and no other: a triple that ``make_ternary`` returns
+    as given, four Gaussian parameters with positive spreads, or members.
+    The per-row path decides every other row.
     """
-    plain = ~bad
+    plain = np.ones(n, dtype=bool)
+    for name in ("obs", "members", "series"):
+        if name in fields:
+            plain &= np.array([v is not _INVALID for v in fields[name]], dtype=bool)
     cols = {}  # NaN where absent
     for name in _NUMBER_FIELDS:
         values = fields.get(name)
@@ -570,8 +565,6 @@ def _build_records(fields: dict, rebuilt: dict) -> tuple[ForecastRecord, ...]:
     """The records of the decoded rows: ``rebuilt[i]`` at each row ``i``
     that is not plain, and every plain row's record built from its
     decoded floats themselves."""
-    if not fields:  # no rows
-        return ()
     absent = repeat(None)
     ternary = gaussian = absent
     if all(k in fields for k in _TERNARY_FIELDS):
@@ -580,15 +573,13 @@ def _build_records(fields: dict, rebuilt: dict) -> tuple[ForecastRecord, ...]:
     if all(k in fields for k in _GAUSSIAN_FIELDS):
         gaussian = [None if values[0] is None else values
                     for values in zip(*(fields[k] for k in _GAUSSIAN_FIELDS))]
-    # _plain_rows has checked every row that is not rebuilt
-    records = tuple(map(
-        _valid_record, fields["lat"], fields["lon"], ternary, gaussian,
+    # _plain_rows has checked every row that is not rebuilt; a row without
+    # lat fails the per-row path, so lat is missing only when there are no rows
+    records = list(map(
+        _valid_record, fields.get("lat", ()), fields.get("lon", absent), ternary, gaussian,
         fields.get("members", absent), fields.get("obs", absent),
         fields.get("obs_value", absent), fields.get("series", absent),
     ))
-    if not rebuilt:
-        return records
-    records = list(records)
     for i, rec in rebuilt.items():
         records[i] = rec
     return tuple(records)

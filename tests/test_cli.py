@@ -121,6 +121,22 @@ class TestVerify:
         assert run_json(runner, ["verify", "-i", str(marked)]) == want
         assert run_json(runner, ["verify", "-i", "-"], input=marked.read_bytes()) == want
 
+    @pytest.mark.parametrize("command, option, content", [
+        ("project", "--apply-map", b"[0.05, 0.9, 0, 0, 0, 0, 0.05, 0, 0.9, 0, 0, 0]"),
+        ("render-map", "--overlay", b"[[[0.0, 0.0], [1.5, 2.0], [3.0, 4.0]]]"),
+    ], ids=["coefficients", "overlay"])
+    def test_byte_order_mark_in_side_file(self, runner, tmp_path, dataset_json, command,
+                                          option, content):
+        side, out = tmp_path / "side.json", tmp_path / "out"
+        outputs = []
+        for mark in (b"", codecs.BOM_UTF8):
+            side.write_bytes(mark + content)
+            result = runner.invoke(main, [command, "-i", dataset_json, "-o", str(out),
+                                          option, str(side)])
+            assert result.exit_code == 0, result.output
+            outputs.append((result.output, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+
 
 class TestVersion:
     def test_version_from_source_tree(self, runner):
@@ -135,6 +151,15 @@ class TestExitCodes:
         bad.write_text("lat,lon,pB,pN,pA\n0,0,0.5,0.3,0.1\n")
         result = runner.invoke(main, ["verify", "-i", str(bad)])
         assert result.exit_code == 2
+        for name, text, message in [
+            ("empty.csv", "", "empty CSV input"),
+            ("q.json", '{"q": [0.5, 0.5, 0.5], "records": []}',
+             "q: invalid climatology q: probabilities sum to 1.5, not 1"),
+        ]:
+            (tmp_path / name).write_text(text)
+            result = runner.invoke(main, ["verify", "-i", str(tmp_path / name)])
+            assert_fails_cleanly(result, 2)
+            assert result.stderr == f"error: {message}\n"
 
     def test_domain_error_is_3(self, runner, tmp_path):
         # schema-valid dataset with no observations cannot be verified
@@ -223,9 +248,16 @@ class TestCalibrate:
         assert out["n_train"] == 180
         assert out["n_eval"] == 60
 
-    def test_bad_holdout_is_domain_error(self, runner, dataset_csv):
+    def test_bad_holdout_is_domain_error(self, runner, dataset_csv, tmp_path):
         result = runner.invoke(main, ["calibrate", "-i", dataset_csv, "--holdout", "1.0"])
         assert result.exit_code == 3
+        for n, holdout, message in [(1, "0.9", "holdout leaves no training pairs"),
+                                    (2, "0.1", "holdout leaves no evaluation pairs")]:
+            src = tmp_path / f"{n}.csv"
+            src.write_text("lat,lon,pB,pN,pA,obs\n" + "0,0,1,0,0,B\n" * n)
+            result = runner.invoke(main, ["calibrate", "-i", str(src), "--holdout", holdout])
+            assert_fails_cleanly(result, 3)
+            assert message in result.stderr
 
     def test_verify_after_calibrate_project(self, runner, dataset_json, tmp_path):
         cal = tmp_path / "cal.json"

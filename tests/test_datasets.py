@@ -696,8 +696,8 @@ def _spy_plain_rows(parse, data: bytes) -> dict:
     seen = {}
     plain_rows = datasets._plain_rows
 
-    def spy(n, fields, bad):
-        seen.update(fields=fields, plain=plain_rows(n, fields, bad))
+    def spy(n, fields):
+        seen.update(fields=fields, plain=plain_rows(n, fields))
         return seen["plain"]
 
     with mock.patch.object(datasets, "_plain_rows", spy):

@@ -64,6 +64,8 @@ class TestScaleParams:
             scale_params(0, 1, 0, -2.0)
         with pytest.raises(NonPositiveSigma):
             GaussianScaled(0.0, 0.0)
+        with pytest.raises(NonPositiveSigma, match="finite"):
+            GaussianScaled(math.inf, 1.0)
 
 
 class TestNormalPrimitives:

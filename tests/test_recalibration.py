@@ -204,6 +204,10 @@ class TestFitMap:
     def test_rejects_empty(self, brier):
         with pytest.raises(EmptyDataset):
             fit_map([], brier)
+        with pytest.raises(EmptyDataset):
+            mean_score_of_map([], QuadraticMap.identity(), brier)
+        with pytest.raises(EmptyDataset):
+            recalibration_report([], QuadraticMap.identity(), brier, 11)
 
     def test_mean_score_agrees_with_scoring_module(self, brier, rng):
         pairs = categorical_pairs(rng, 50)

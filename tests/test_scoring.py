@@ -96,6 +96,10 @@ class TestCustomRule:
         L = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(NotPositiveDefinite):
             custom_rule(L)
+        with pytest.raises(NotPositiveDefinite, match="finite"):
+            custom_rule(np.diag([1.0, 1.0, math.inf]))
+        with pytest.raises(AttributeError, match="immutable"):
+            custom_rule(np.eye(3)).L = L
 
     def test_near_degenerate_triangle_rejected(self):
         # nearly rank-2 L'L squeezes the triangle flat before the

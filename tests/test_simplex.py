@@ -96,6 +96,10 @@ def test_ternary_from_cdf_gaussian_case():
 def test_ternary_from_cdf_rejects_nonmonotone():
     with pytest.raises(NonMonotoneCDF):
         ternary_from_cdf(0.7, 0.6)
+    with pytest.raises(NonMonotoneCDF):
+        CategoryThresholds(2.0, 1.0)
+    with pytest.raises(NotNormalised):
+        ternary_from_cdf(1.5, 0.5)
 
 
 def test_ternary_from_cdf_on_simplex(rng):
@@ -127,6 +131,8 @@ def test_empirical_quantiles_median():
 def test_empirical_quantiles_needs_two_values():
     with pytest.raises(InsufficientData):
         empirical_quantiles([1.0], UNIFORM)
+    with pytest.raises(InsufficientData, match="non-finite"):
+        empirical_quantiles([1.0, math.nan, 2.0], UNIFORM)
 
 
 def test_ensemble_one_member_per_category():
