@@ -29,7 +29,7 @@ from .datasets import (
     resolve_ternary,
     write_json,
 )
-from .errors import DomainError, EmptyDataset, InvalidDecomposition, SchemaError
+from .errors import DomainError, EmptyDataset, SchemaError
 from .recalibration import QuadraticMap, apply_map, fit_map, recalibration_report
 from .scoring import ScoringRule, brier_rule, rps_rule, score
 from .simplex import make_ternary
@@ -38,8 +38,6 @@ from .verification import BinnedStats, Decomposition, ForecastObsPair, bin_forec
 
 EXIT_SCHEMA = 2
 EXIT_DOMAIN = 3
-
-_IDENTITY_GUARD = 1e-10
 
 
 def _fail(code: int, err: Exception) -> None:
@@ -107,10 +105,7 @@ def _palette_from(m: float, theta0: float, anchors: str | None) -> PaletteParams
 
 
 def _decomposition_summary(decomp: Decomposition, binned: BinnedStats) -> dict:
-    if decomp.identity_gap() > _IDENTITY_GUARD:
-        raise InvalidDecomposition(
-            f"decomposition identity violated by {decomp.identity_gap():.3e}"
-        )
+    decomp.check()
     return {
         "S": decomp.S,
         "U": decomp.U,

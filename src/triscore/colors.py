@@ -128,6 +128,17 @@ def information_gain(p: TernaryProb, q: TernaryProb) -> float:
     return min(1.0, max(0.0, gain))
 
 
+def _reference_ray(q: TernaryProb) -> tuple[np.ndarray, float]:
+    """The climatology's point in the equilateral triangle and the angle
+    of the ray from it towards corner B."""
+    Q = _EQUILATERAL_MHAT @ q.as_array()
+    ref = -Q  # corner B sits at the plane origin
+    if math.hypot(ref[0], ref[1]) <= _ZERO_RADIUS:
+        # climatology at corner B itself: fall back to the centroid's ray
+        ref = -(_EQUILATERAL_MHAT @ np.full(3, 1.0 / 3.0))
+    return Q, math.atan2(ref[1], ref[0])
+
+
 def dominant_category(p: TernaryProb, q: TernaryProb) -> float:
     """Angle of the forecast around the climatology, in [0, 2*pi).
 
@@ -135,17 +146,11 @@ def dominant_category(p: TernaryProb, q: TernaryProb) -> float:
     points from the climatology towards corner B.  Returns 0 when the
     forecast coincides with the climatology.
     """
-    Q = _EQUILATERAL_MHAT @ q.as_array()
-    P = _EQUILATERAL_MHAT @ p.as_array()
-    v = P - Q
+    Q, ref_angle = _reference_ray(q)
+    v = _EQUILATERAL_MHAT @ p.as_array() - Q
     if math.hypot(v[0], v[1]) <= _ZERO_RADIUS:
         return 0.0
-    ref = -Q  # corner B sits at the plane origin
-    if math.hypot(ref[0], ref[1]) <= _ZERO_RADIUS:
-        # climatology at corner B itself: fall back to the centroid's ray
-        ref = -(_EQUILATERAL_MHAT @ np.full(3, 1.0 / 3.0))
-    theta = (math.atan2(ref[1], ref[0]) - math.atan2(v[1], v[0])) % (2.0 * math.pi)
-    return theta
+    return (ref_angle - math.atan2(v[1], v[0])) % (2.0 * math.pi)
 
 
 def assign_color(p: TernaryProb, q: TernaryProb, params: PaletteParams | None = None) -> ColorHSV:
@@ -186,15 +191,12 @@ def _hue_saturation(
     tau = 2.0 * math.pi
 
     # dominant_category
-    Q = _EQUILATERAL_MHAT @ q.as_array()
-    ref = -Q
-    if math.hypot(ref[0], ref[1]) <= _ZERO_RADIUS:
-        ref = -(_EQUILATERAL_MHAT @ np.full(3, 1.0 / 3.0))
+    Q, ref_angle = _reference_ray(q)
     V = F @ _EQUILATERAL_MHAT.T - Q
     vx, vy = V[:, 0].tolist(), V[:, 1].tolist()
     at_q = np.array(list(map(math.hypot, vx, vy))) <= _ZERO_RADIUS
     angle = np.array(list(map(math.atan2, vy, vx)))
-    theta = np.where(at_q, 0.0, (math.atan2(ref[1], ref[0]) - angle) % tau)
+    theta = np.where(at_q, 0.0, (ref_angle - angle) % tau)
 
     # PaletteParams.hue_at
     t = np.minimum(1.0, np.maximum(0.0, ((theta - params.theta0) % tau) / tau))

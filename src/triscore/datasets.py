@@ -116,6 +116,18 @@ class Dataset:
     metadata: dict[str, str] = field(default_factory=dict)
 
 
+def _record_thresholds(record: ForecastRecord, q: TernaryProb) -> CategoryThresholds:
+    """The category thresholds of the record's climatology under q: its
+    Gaussian climatology if it has one, else the quantiles of its series."""
+    if record.gaussian is not None:
+        _, _, mu_c, sigma_c = record.gaussian
+        zB, zA = _climatology_z(q)
+        return CategoryThresholds(mu_c + sigma_c * zB, mu_c + sigma_c * zA)
+    if record.series is not None:
+        return empirical_quantiles(list(record.series), q)
+    raise MissingClimatologySeries("record needs a climatology series to place thresholds")
+
+
 def resolve_ternary(record: ForecastRecord, q: TernaryProb) -> TernaryProb:
     """The record's forecast as a ternary value under climatology q."""
     if record.ternary is not None:
@@ -123,24 +135,7 @@ def resolve_ternary(record: ForecastRecord, q: TernaryProb) -> TernaryProb:
     if record.gaussian is not None:
         g = scale_params(*record.gaussian)
         return gaussian_to_ternary(g, q)
-    if record.series is None:
-        raise MissingClimatologySeries(
-            "ensemble record needs a climatology series to place thresholds"
-        )
-    thresholds = empirical_quantiles(list(record.series), q)
-    return ensemble_to_ternary(list(record.members), thresholds)
-
-
-def _record_thresholds(record: ForecastRecord, q: TernaryProb) -> CategoryThresholds:
-    if record.series is not None:
-        return empirical_quantiles(list(record.series), q)
-    if record.gaussian is not None:
-        _, _, mu_c, sigma_c = record.gaussian
-        zB, zA = _climatology_z(q)
-        return CategoryThresholds(mu_c + sigma_c * zB, mu_c + sigma_c * zA)
-    raise MissingClimatologySeries(
-        "cannot categorise a raw observed value without a climatology series"
-    )
+    return ensemble_to_ternary(list(record.members), _record_thresholds(record, q))
 
 
 def resolve_observation(record: ForecastRecord, q: TernaryProb) -> ObsCategory | None:

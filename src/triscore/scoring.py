@@ -150,10 +150,6 @@ class ScoringRule:
     def sides(self) -> tuple[float, float, float]:
         return (self.b, self.n, self.a)
 
-    def corners_bary(self) -> list[BaryPoint]:
-        """Plane positions of the corners B, N, A."""
-        return [BaryPoint(self.Mhat[0, i], self.Mhat[1, i]) for i in range(3)]
-
 
 def brier_rule() -> ScoringRule:
     """The Brier rule: L = I/sqrt(2), an equilateral unit triangle."""

@@ -21,6 +21,8 @@ from .errors import EmptyDataset, InvalidDecomposition
 from .scoring import ScoringRule, uncertainty
 from .simplex import ObsCategory, TernaryProb, make_ternary
 
+_IDENTITY_GUARD = 1e-10  # rounding allowance of S = U - Z + R and of U >= Z
+
 
 @dataclass(frozen=True)
 class ForecastObsPair:
@@ -171,6 +173,16 @@ class Decomposition:
         """|S - (U - Z + R)|, which is ~0 for any valid decomposition."""
         return abs(self.S - (self.U - self.Z + self.R))
 
+    def check(self) -> None:
+        """InvalidDecomposition unless S = U - Z + R and U >= Z (U - Z is a
+        count-weighted mean of the bins' own uncertainties), each to within
+        a rounding allowance."""
+        gap = self.identity_gap()
+        if gap > _IDENTITY_GUARD:
+            raise InvalidDecomposition(f"decomposition identity violated by {gap:.3e}")
+        if self.Z - self.U > _IDENTITY_GUARD:
+            raise InvalidDecomposition(f"U = {self.U} < Z = {self.Z}")
+
 
 def _decompose_bins(
     rule: ScoringRule, group: np.ndarray, keys: np.ndarray, obs_counts: np.ndarray, nbins: int
@@ -283,8 +295,7 @@ class DiagramGeometry:
 
 def decomposition_diagram_geometry(d: Decomposition) -> DiagramGeometry:
     """Lay out the decomposition diagram for a computed decomposition."""
-    if d.U < d.Z:
-        raise InvalidDecomposition(f"U = {d.U} < Z = {d.Z}")
+    d.check()
     su = d.sqrt_U
     sz = d.sqrt_Z
     sr = d.sqrt_R

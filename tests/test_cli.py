@@ -285,6 +285,10 @@ class TestProject:
         assert ds.records[0].ternary.as_tuple() == pytest.approx(
             (1 / 3, 1 / 3, 1 / 3), abs=1e-9
         )
+        # without -o the dataset itself goes to stdout, with no summary
+        result = runner.invoke(main, ["project", "-i", str(src)])
+        assert result.exit_code == 0, result.output
+        assert result.stdout_bytes == out_path.read_bytes()
 
     def test_resolves_observation_values_to_labels(self, runner, tmp_path):
         src = tmp_path / "gauss.csv"
@@ -299,6 +303,15 @@ class TestProject:
         assert all(r.obs_value is None for r in ds.records)
         # the projected dataset is self-contained for verification
         assert runner.invoke(main, ["verify", "-i", str(out_path)]).exit_code == 0
+        # a Gaussian record's value meets its Gaussian climatology, not its series
+        src = tmp_path / "gauss_series.json"
+        src.write_text(json.dumps({"records": [{
+            "lat": 0, "lon": 0, "mu": 0, "sigma": 1, "mu_c": 0, "sigma_c": 1,
+            "series": list(range(10, 41)), "obs_value": 0,
+        }]}))
+        result = runner.invoke(main, ["project", "-i", str(src), "-o", str(out_path)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out_path.read_text())["records"][0]["obs"] == "N"
 
     def test_apply_bare_coefficient_array(self, runner, dataset_json, tmp_path):
         coeffs = tmp_path / "coeffs.json"
@@ -320,7 +333,8 @@ class TestProject:
         (b'["x", 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]', "coefficients[0]"),
         (b"[0, 1, 0, 0, 0, NaN, 0, 0, 1, 0, 0, 0]", "coefficients[5]"),
         (b"\xff\xfe[0]", "invalid coefficients file"),
-    ], ids=["string", "nan", "not-utf8"])
+        (b"[0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0]", "a JSON array of 12 numbers"),
+    ], ids=["string", "nan", "not-utf8", "eleven"])
     def test_bad_coefficients_file_is_schema_error(self, runner, dataset_json, tmp_path,
                                                    content, named):
         coeffs = tmp_path / "coeffs.json"
@@ -483,6 +497,22 @@ class TestRenderCommands:
         assert summary["n_dipoles"] == 4
         ET.parse(out_path)
 
+        # every bin observes one category, so U - Z is 0 in real arithmetic;
+        # under rps, rounding puts Z an ulp above U, and both commands accept it
+        rows = ([(0.6, 0.3, 0.1, "B")] * 30 + [(0.1, 0.7, 0.2, "N")]
+                + [(0.2, 0.2, 0.6, "A")] * 31)
+        pure = tmp_path / "pure.json"
+        pure.write_text(json.dumps({"records": [
+            {"lat": 0, "lon": 0, "pB": b, "pN": n, "pA": a, "obs": o} for b, n, a, o in rows
+        ]}))
+        for rule, u, z in (("brier", 0.2578043704474505, 0.2578043704474505),
+                           ("rps", 0.24986992715920908, 0.2498699271592091)):
+            result = runner.invoke(main, ["render-reliability", "-i", str(pure),
+                                          "-o", str(out_path), "--score", rule])
+            assert result.exit_code == 0, result.output
+            out = run_json(runner, ["verify", "-i", str(pure), "--score", rule])
+            assert (out["U"], out["Z"]) == pytest.approx((u, z), abs=1e-12)
+
     def test_palette(self, runner, tmp_path):
         out_path = tmp_path / "pal.svg"
         result = runner.invoke(main, [
@@ -526,3 +556,7 @@ class TestRenderCommands:
         result = runner.invoke(main, ["palette", "-o", str(tmp_path / "x.svg"),
                                       "--q", "0.5,0.5"])
         assert result.exit_code == 2
+        result = runner.invoke(main, ["palette", "-o", str(tmp_path / "x.svg"),
+                                      "--q", "1/3,x,1/3"])
+        assert_fails_cleanly(result, 2)
+        assert "invalid climatology component 'x'" in result.stderr

@@ -341,6 +341,12 @@ class TestResolve:
         assert resolve_observation(rec, UNIFORM) is ObsCategory.N
         rec_low = ForecastRecord(lat=0, lon=0, gaussian=(7.0, 2.0, 5.0, 2.0), obs_value=0.0)
         assert resolve_observation(rec_low, UNIFORM) is ObsCategory.B
+        # a series does not displace the climatology the forecast is reduced
+        # against: 0 is the median of N(0, 1), though below every series value
+        series = tuple(float(x) for x in range(10, 41))
+        rec_series = ForecastRecord(lat=0, lon=0, gaussian=(0.0, 1.0, 0.0, 1.0),
+                                    series=series, obs_value=0.0)
+        assert resolve_observation(rec_series, UNIFORM) is ObsCategory.N
 
     def test_observation_value_needs_climatology(self):
         rec = ForecastRecord(lat=0, lon=0, ternary=UNIFORM, obs_value=1.0)

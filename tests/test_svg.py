@@ -77,6 +77,7 @@ class TestPaletteLegend:
         b = render_palette_legend(UNIFORM, PaletteParams(), 12)
         assert_well_formed(a)
         assert a == b
+        assert render_palette_legend(UNIFORM) == render_palette_legend(UNIFORM, PaletteParams())
 
     def test_cell_count_is_resolution_squared(self):
         for size in (1, 2, 5, 12):

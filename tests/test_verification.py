@@ -224,6 +224,17 @@ class TestArrayMatchesReference:
 
 
 @st.composite
+def _pure_cases(draw):
+    """nbins and pairs in which each forecast value always meets one
+    category, so bins mostly observe a single category."""
+    nbins = draw(st.integers(3, 21))
+    cases = draw(st.dictionaries(st.one_of(_lattice(nbins), _weights),
+                                 st.tuples(st.sampled_from(CATS), st.integers(1, 40)),
+                                 min_size=1, max_size=12))
+    return nbins, [pair(p, obs) for p, (obs, n) in cases.items() for _ in range(n)]
+
+
+@st.composite
 def _grouped_cases(draw):
     """A binning case whose pairs are split into groups with ids 0..G-1."""
     nbins, pairs = draw(_binning_cases())
@@ -403,6 +414,21 @@ class TestDiagramGeometry:
         d = Decomposition(S=0.25, U=0.4, Z=0.15, R=0.0, q_bar=UNIFORM)
         geom = decomposition_diagram_geometry(d)
         assert geom.small_triangle[1] == pytest.approx(geom.small_triangle[2], abs=1e-12)
+
+    # U - Z is 0 in real arithmetic when every bin observes one category,
+    # and rounding can then put Z an ulp above U.  That happens under some
+    # rule in about 38 % of these examples, but in only 1 or 2 of the
+    # first 10, which hypothesis keeps small; so it takes ~100 examples
+    # for an exact U < Z comparison to fail here with near certainty.
+    @settings(max_examples=100, deadline=None)
+    @given(_pure_cases(), st.integers(0, 2**32 - 1))
+    def test_pure_bins_are_admissible(self, case, seed):
+        nbins, pairs = case
+        binned = bin_forecasts(pairs, nbins)
+        for rule in (brier_rule(), rps_rule(), *random_pd_rules(np.random.default_rng(seed), 2)):
+            d = decompose(rule, binned)
+            d.check()
+            decomposition_diagram_geometry(d)
 
     def test_rejects_u_below_z(self):
         d = Decomposition(S=0.1, U=0.1, Z=0.2, R=0.2, q_bar=UNIFORM)
