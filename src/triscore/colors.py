@@ -81,7 +81,6 @@ class PaletteParams:
             if t <= t2:
                 frac = (t - t1) / (t2 - t1)
                 return (h1 + frac * (h2 - h1)) % 1.0
-        return anchors[-1][1] % 1.0
 
 
 @dataclass(frozen=True)

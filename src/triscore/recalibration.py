@@ -10,8 +10,9 @@ and the twelve coefficients are chosen to minimise the mean quadratic
 score of the recalibrated forecasts against the observations.  The
 recalibrated value is linear in the coefficients, so the optimum is an
 ordinary linear least-squares solution; no iterative optimiser is
-needed.  Mapped forecasts may leave the simplex, which is reported and
-can optionally be repaired by Euclidean projection.
+needed; pB~ and pA~ share their six terms, so it is the same for every
+quadratic rule (see fit_map).  Mapped forecasts may leave the simplex,
+which is reported and can optionally be repaired by Euclidean projection.
 """
 
 import math
@@ -105,44 +106,42 @@ def _project3(v0: float, v1: float, v2: float) -> tuple[float, float, float]:
     return (max(v0 + lam, 0.0), max(v1 + lam, 0.0), max(v2 + lam, 0.0))
 
 
-def _mean_score(coeffs: np.ndarray, design: np.ndarray, target: np.ndarray) -> float:
-    resid = design @ coeffs - target
-    return float(resid @ resid) / (design.shape[0] // 2)
-
-
-# the map's output at zero coefficients, and how (tB, tA) move it
-_BASE = np.array([0.0, 1.0, 0.0])
+# p~ - o = J (t - y), for the map's (tB, tA) and the observed B and A indicators y
 _J = np.array([[1.0, 0.0], [-1.0, -1.0], [0.0, 1.0]])
 
 
-def _assemble(F: np.ndarray, obs: np.ndarray, rule: ScoringRule) -> tuple[np.ndarray, np.ndarray]:
-    """Stack the 2N x 12 linear system, for forecasts F (N, 3) and observed
-    category indices obs, whose residual is Mhat(p~ - o); p~ - o sums to
-    zero, so the residual's squared length is its score."""
-    features = np.column_stack(np.broadcast_arrays(*_features(F[:, 0], F[:, 2])))
-    MJ = rule.Mhat @ _J
-    design = (MJ[None, :, :, None] * features[:, None, None, :]).reshape(2 * len(F), 12)
-    target = (np.eye(3)[obs] - _BASE) @ rule.Mhat.T
-    return design, target.ravel()
+def _regression(F: np.ndarray, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X (N, 6): the six map terms of each row of F; Y (N, 2): the B and A indicators of obs."""
+    X = np.column_stack(np.broadcast_arrays(*_features(F[:, 0], F[:, 2])))
+    return X, np.eye(3)[obs][:, ::2]
+
+
+def _mean_score(coeffs, X: np.ndarray, Y: np.ndarray, rule: ScoringRule) -> float:
+    """Mean score of the mapped forecasts; each weighted residual row is Mhat (p~ - o)."""
+    resid = (X @ np.reshape(coeffs, (2, 6)).T - Y) @ (rule.Mhat @ _J).T
+    return float(np.einsum("ij,ij->", resid, resid)) / len(X)
 
 
 def fit_map(pairs: list[ForecastObsPair], rule: ScoringRule) -> QuadraticMap:
-    """Least-squares fit of the recalibration coefficients.
+    """Fit the coefficients that minimise the mean score of the mapped forecasts.
 
-    Minimises the mean score of the mapped forecasts over all pairs.
-    Rank-deficient systems (for example, all forecasts identical) give
-    the minimum-norm solution.  The identity map is in the family, so
-    the fitted mean score never exceeds the unrecalibrated one; in the
-    rare float-level tie the identity is returned outright.
+    The rule weights each residual t - y by Mhat J, which is invertible
+    (determinant a*n*sin(phi) > 0), so every rule has the same optimum:
+    the regressions of the B and A indicators on the six map terms
+    (Zellner 1962), one least-squares solve with two right-hand sides.
+    A rank-deficient X (for example, all forecasts identical) gives the
+    minimum-norm solution.  The identity map is in the family, so the
+    fitted mean score never exceeds the unrecalibrated one; in the rare
+    float-level tie the identity is returned outright.
     """
     if not pairs:
         raise EmptyDataset("no pairs to fit a recalibration map on")
-    design, target = _assemble(*_pair_arrays(pairs), rule)
-    coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
-    identity = np.asarray(IDENTITY_COEFFS)
-    if _mean_score(coeffs, design, target) > _mean_score(identity, design, target):
-        coeffs = identity
-    return QuadraticMap(tuple(float(c) for c in coeffs))
+    X, Y = _regression(*_pair_arrays(pairs))
+    C, *_ = np.linalg.lstsq(X, Y, rcond=None)
+    coeffs = C.T.ravel()  # C1..C6 for pB~, then C7..C12 for pA~
+    if _mean_score(coeffs, X, Y, rule) > _mean_score(IDENTITY_COEFFS, X, Y, rule):
+        coeffs = IDENTITY_COEFFS
+    return QuadraticMap(coeffs)
 
 
 def mean_score_of_map(
@@ -151,8 +150,7 @@ def mean_score_of_map(
     """Mean quadratic score of the (unclipped) mapped forecasts."""
     if not pairs:
         raise EmptyDataset("no pairs to score")
-    design, target = _assemble(*_pair_arrays(pairs), rule)
-    return _mean_score(np.asarray(mapping.coeffs), design, target)
+    return _mean_score(mapping.coeffs, *_regression(*_pair_arrays(pairs)), rule)
 
 
 @dataclass(frozen=True)
@@ -186,13 +184,13 @@ def recalibration_report(
     mapped = [apply_map(mapping, pair.forecast, clip=True) for pair in pairs]
     binned_before = _binned(F, obs, nbins)
     binned_after = _binned(np.array([res.to_ternary().as_tuple() for res in mapped]), obs, nbins)
-    design, target = _assemble(F, obs, rule)
+    X, Y = _regression(F, obs)
     return CalibrationReport(
         before=decompose(rule, binned_before),
         after=decompose(rule, binned_after),
         binned_before=binned_before,
         binned_after=binned_after,
-        mean_score_before=_mean_score(np.asarray(IDENTITY_COEFFS), design, target),
-        mean_score_after=_mean_score(np.asarray(mapping.coeffs), design, target),
+        mean_score_before=_mean_score(IDENTITY_COEFFS, X, Y, rule),
+        mean_score_after=_mean_score(mapping.coeffs, X, Y, rule),
         n_off_simplex=sum(not res.on_simplex for res in mapped),
     )

@@ -26,6 +26,7 @@ from .verification import (
 )
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
+_MAX_LATTICE = 500  # the finest lattice drawn; the legend's cells are sub-pixel at 500
 
 _CROSS_COLOR = "#0000cc"
 _DIPOLE_COLOR = "#cc0000"
@@ -154,8 +155,8 @@ def render_palette_legend(
     """
     if params is None:
         params = PaletteParams()
-    if size < 1:
-        raise DomainError("legend resolution must be >= 1")
+    if not 1 <= size <= _MAX_LATTICE:
+        raise DomainError(f"legend resolution must be between 1 and {_MAX_LATTICE}")
     width, height = 480, 460
     margin = 30.0
     edge = width - 2 * margin
@@ -295,7 +296,7 @@ def _all_lattice_points(nbins: int):
 def _sharpness_inset(out: list[str], binned: BinnedStats, box: _Box) -> None:
     counts = dict(zip(map(tuple, binned.keys.tolist()), binned.obs_counts.sum(axis=1).tolist()))
     max_count = max(counts.values()) if counts else 1
-    radius = box.edge / (2.0 * binned.nbins) if binned.nbins > 0 else box.edge / 2.0
+    radius = box.edge / (2.0 * binned.nbins)
     for key in _all_lattice_points(binned.nbins):
         p = make_ternary(key[0] / binned.nbins, key[1] / binned.nbins, key[2] / binned.nbins)
         x, y = box.to_px(_ternary_xy(p))
@@ -367,6 +368,8 @@ def render_reliability_diagram(
     occupancy; the decomposition inset (top left) draws the square-root
     decomposition geometry with its two dashed limiting chords.
     """
+    if binned.nbins > _MAX_LATTICE:
+        raise DomainError(f"nbins = {binned.nbins} is above {_MAX_LATTICE}, the finest drawn")
     if config is None:
         config = RenderConfig()
     width = max(config.width_px, 600)

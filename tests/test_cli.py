@@ -155,6 +155,8 @@ class TestExitCodes:
             ("empty.csv", "", "empty CSV input"),
             ("q.json", '{"q": [0.5, 0.5, 0.5], "records": []}',
              "q: invalid climatology q: probabilities sum to 1.5, not 1"),
+            ("meta.json", '{"metadata": {"a": 1}, "records": []}',
+             "metadata: metadata must map strings to strings"),
         ]:
             (tmp_path / name).write_text(text)
             result = runner.invoke(main, ["verify", "-i", str(tmp_path / name)])
@@ -167,6 +169,13 @@ class TestExitCodes:
         empty.write_text("lat,lon,pB,pN,pA\n0,0,1,0,0\n")
         result = runner.invoke(main, ["verify", "-i", str(empty)])
         assert result.exit_code == 3
+
+    def test_render_map_without_records_is_3(self, runner, tmp_path):
+        src = tmp_path / "none.json"
+        src.write_text('{"records": []}')
+        result = runner.invoke(main, ["render-map", "-i", str(src), "-o", str(tmp_path / "x.svg")])
+        assert_fails_cleanly(result, 3)
+        assert result.stderr == "error: dataset has no records to draw\n"
 
     def test_missing_file_is_2(self, runner):
         result = runner.invoke(main, ["verify", "-i", "/nonexistent/x.csv"])
@@ -184,15 +193,18 @@ class TestExitCodes:
         ["render-map", "--circle-scale", "-1", "--show-skill-circles"],
         ["render-map", "--circle-scale", "nan"],
         ["render-map", "--m", "nan"],
+        ["render-reliability", "--nbins", "501"],
+        ["render-reliability", "--nbins", "2147483648"],
     ], ids=["width", "height", "cell-size", "threshold", "cell-size-nan", "circle-scale-neg",
-            "circle-scale-nan", "m-nan"])
+            "circle-scale-nan", "m-nan", "nbins-501", "nbins-2^31"])
     def test_bad_render_size_is_3(self, runner, dataset_json, tmp_path, args):
         result = runner.invoke(main, [*args, "-i", dataset_json, "-o", str(tmp_path / "x.svg")])
         assert_fails_cleanly(result, 3)
 
     def test_palette_size_zero_is_3(self, runner, tmp_path):
-        result = runner.invoke(main, ["palette", "-o", str(tmp_path / "x.svg"), "--size", "0"])
-        assert_fails_cleanly(result, 3)
+        for size in ("0", "501", "2147483648"):
+            args = ["palette", "-o", str(tmp_path / "x.svg"), "--size", size]
+            assert_fails_cleanly(runner.invoke(main, args), 3)
 
     @pytest.mark.parametrize("args", [["--m", "inf"], ["--theta0", "nan"]],
                              ids=["m-inf", "theta0-nan"])
@@ -247,6 +259,12 @@ class TestCalibrate:
         out = run_json(runner, ["calibrate", "-i", dataset_csv, "--holdout", "0.25"])
         assert out["n_train"] == 180
         assert out["n_eval"] == 60
+
+    @pytest.mark.parametrize("holdout", ["0", "0.25"])
+    def test_one_map_for_every_rule(self, runner, dataset_csv, holdout):
+        fits = [run_json(runner, ["calibrate", "-i", dataset_csv, "--holdout", holdout,
+                                  "--score", rule])["coefficients"] for rule in ("brier", "rps")]
+        assert fits[0] == fits[1]
 
     def test_bad_holdout_is_domain_error(self, runner, dataset_csv, tmp_path):
         result = runner.invoke(main, ["calibrate", "-i", dataset_csv, "--holdout", "1.0"])

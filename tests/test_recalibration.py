@@ -21,14 +21,31 @@ from triscore import (
     score,
 )
 from triscore.errors import EmptyDataset
-from triscore.scoring import AffineTernary
+from triscore.scoring import AffineTernary, ScoringRule
 from triscore.simplex import NEGATIVE_TOLERANCE, TernaryProb
-from triscore.recalibration import _assemble, project_to_simplex
+from triscore.recalibration import _J, _features, _mean_score, _regression, project_to_simplex
 from triscore.verification import _pair_arrays
 
 from conftest import CATS, categorical_pairs, random_pd_rules
 
 B, N, A = ObsCategory.B, ObsCategory.N, ObsCategory.A
+
+
+# the rule-weighted 2N x 12 system: the reference for the regression fit and
+# for _mean_score.  _BASE is the map's output at zero coefficients, and _J how
+# (tB, tA) move it
+_BASE = np.array([0.0, 1.0, 0.0])
+
+
+def _assemble(F: np.ndarray, obs: np.ndarray, rule: ScoringRule) -> tuple[np.ndarray, np.ndarray]:
+    """Stack the 2N x 12 linear system, for forecasts F (N, 3) and observed
+    category indices obs, whose residual is Mhat(p~ - o); p~ - o sums to
+    zero, so the residual's squared length is its score."""
+    features = np.column_stack(np.broadcast_arrays(*_features(F[:, 0], F[:, 2])))
+    MJ = rule.Mhat @ _J
+    design = (MJ[None, :, :, None] * features[:, None, None, :]).reshape(2 * len(F), 12)
+    target = (np.eye(3)[obs] - _BASE) @ rule.Mhat.T
+    return design, target.ravel()
 
 
 def overconfident_pairs(rng, n):
@@ -239,6 +256,28 @@ class TestResidualSystem:
                      for p in pairs]
             want = sum(float(d @ d) for d in diffs) / n
             assert abs(float(resid @ resid) / n - want) <= 1e-12
+            got = _mean_score(coeffs, *_regression(*_pair_arrays(pairs)), rule)
+            assert abs(got - float(resid @ resid) / n) <= 1e-12
+
+    # 300 examples: about 80 of them draw n < 6, where X is rank-deficient and
+    # lstsq returns the minimum-norm solution, and about 170 draw n >= 50, where
+    # the coefficients are compared; with fewer, each case gets only a handful
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 200))
+    def test_one_map_for_every_rule(self, seed, n):
+        rng = np.random.default_rng(seed)
+        pairs = categorical_pairs(rng, n, sharpen=2.0)
+        rules = (brier_rule(), rps_rule(), *random_pd_rules(rng, 2))
+        fits = [fit_map(pairs, rule) for rule in rules]
+        # bit-identical, except where the guard kept the identity on a float tie
+        assert len({m.coeffs for m in fits if m.coeffs != QuadraticMap.identity().coeffs}) <= 1
+        for rule, m in zip(rules, fits):
+            design, target = _assemble(*_pair_arrays(pairs), rule)
+            ref, *_ = np.linalg.lstsq(design, target, rcond=None)
+            resid = design @ ref - target
+            assert abs(mean_score_of_map(pairs, m, rule) - float(resid @ resid) / n) <= 1e-12
+            if n >= 50:
+                assert np.abs(np.array(m.coeffs) - ref).max() <= 1e-9
 
 
 class TestRecalibrationReport:
