@@ -8,8 +8,18 @@ read or written, 3 on mathematically invalid values (domain errors).
 
 import codecs
 import json
+import os
 import sys
 from pathlib import Path
+
+# A CLI run is one process, and its BLAS calls are a 6-column lstsq and
+# 3x3 products: the OpenBLAS thread pool that numpy starts on import buys
+# nothing, and its idle worker can slow start-up.  So unless the user chose
+# a thread count (OpenBLAS also honours OMP_NUM_THREADS), or numpy is
+# already loaded, run it single-threaded.  This must come before the first
+# import of numpy.
+if "numpy" not in sys.modules and "OMP_NUM_THREADS" not in os.environ:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 

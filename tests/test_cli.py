@@ -239,6 +239,26 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "row 3" in result.output
 
+    @pytest.mark.parametrize("command", ["score", "project"])
+    def test_parse_error_names_row_and_resolve_error_names_record(
+            self, runner, tmp_path, command):
+        # the offending record is file row 4 (header row 1, a blank row 3)
+        # but records[1]: parse errors count file rows, resolve errors records
+        head = "lat,lon,mu,sigma,mu_c,sigma_c,obs_value\n0,0,1,1,0,1,0\n\n"
+        for name, row, code, message in [
+            ("parse.csv", "0,0,abc,1,-1e308,1,0", 2, "row 4: mu is not a number: 'abc'"),
+            ("resolve.csv", "0,0,1e308,1,-1e308,1,0", 3,
+             "records[1]: scaled parameters must be finite"),
+        ]:
+            path = tmp_path / name
+            path.write_text(head + row + "\n")
+            args = [command, "-i", str(path)]
+            if command == "project":
+                args += ["-o", str(tmp_path / "out.json")]
+            result = runner.invoke(main, args)
+            assert_fails_cleanly(result, code)
+            assert result.stderr == f"error: {message}\n"
+
     def test_identity_guard_is_invalid_decomposition(self):
         broken = Decomposition(S=0.5 + 1e-6, U=0.6, Z=0.2, R=0.1, q_bar=UNIFORM)
         with pytest.raises(InvalidDecomposition):
