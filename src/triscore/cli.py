@@ -22,6 +22,7 @@ if "numpy" not in sys.modules and "OMP_NUM_THREADS" not in os.environ:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
+import numpy as np
 
 from . import __version__
 from .colors import PaletteParams
@@ -187,7 +188,9 @@ def project(input_path, output_path, map_path, clip):
         # resolved from a valid record, so valid too
         return _valid_record(rec.lat, rec.lon, p, None, None, obs, None, None)
 
-    records = resolve_records(dataset, resolve)
+    # an overflowing map gives a non-finite value, which fails as a domain error
+    with np.errstate(over="ignore", invalid="ignore"):
+        records = resolve_records(dataset, resolve)
     out = Dataset(records=tuple(records), q=dataset.q, metadata=dataset.metadata)
     _write_bytes(output_path, write_json(out))
     if output_path not in (None, "-"):

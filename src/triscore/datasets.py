@@ -363,7 +363,8 @@ def parse_csv(data: bytes) -> Dataset:
             fields[name] = _obs_column([text or None for text in texts])
             continue
         try:
-            fields[name] = [float(text) if text else None for text in texts]
+            fields[name] = (list(map(float, texts)) if all(texts)
+                            else [float(text) if text else None for text in texts])
         except ValueError:
             fields[name] = list(map(_csv_cell, texts))
     plain = _plain_rows(len(kept), fields)
@@ -447,6 +448,8 @@ def _json_array(value):
         return None
     if type(value) is not list or not value:
         return _INVALID
+    if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+        return tuple(value)
     out = tuple(map(_json_float, value))
     return _INVALID if None in out else out
 
@@ -598,11 +601,24 @@ def _record_object(rec: ForecastRecord) -> dict:
     return obj
 
 
+def _record_line(rec: ForecastRecord) -> str:
+    """``json.dumps`` of the record's object, through one template for a
+    triple of finite floats with at most an obs label: what project writes."""
+    lat, lon, p = rec.lat, rec.lon, rec.ternary
+    if (p is not None and rec.gaussian is rec.members is rec.series is rec.obs_value is None
+            and type(lat) is type(lon) is type(p.pB) is type(p.pN) is type(p.pA) is float
+            and math.isfinite(lat + lon + p.pB + p.pN + p.pA)):
+        obs = "" if rec.obs is None else f', "obs": "{rec.obs._value_}"'
+        return '{"lat": %r, "lon": %r, "pB": %r, "pN": %r, "pA": %r%s}' % (
+            lat, lon, p.pB, p.pN, p.pA, obs)
+    return json.dumps(_record_object(rec))
+
+
 def write_json(dataset: Dataset) -> bytes:
-    """Serialise a dataset, one compact record per line;
-    parse_json(write_json(d)) equals d."""
+    """Serialise a dataset, one compact record per line, each line
+    ``json.dumps`` of its object; parse_json(write_json(d)) equals d."""
     q = json.dumps([dataset.q.pB, dataset.q.pN, dataset.q.pA])
-    records = ",\n".join(map(json.dumps, map(_record_object, dataset.records)))
+    records = ",\n".join(map(_record_line, dataset.records))
     if records:
         records = f"\n{records}\n"
     head = f'{{"q": {q}, "metadata": {json.dumps(dataset.metadata)}, "records": ['

@@ -155,7 +155,7 @@ def empirical_quantiles(series: list[float], q: TernaryProb) -> CategoryThreshol
     """
     if len(series) < 2:
         raise InsufficientData(f"need at least 2 climatology values, got {len(series)}")
-    if not all(math.isfinite(v) for v in series):
+    if not all(map(math.isfinite, series)):
         raise InsufficientData("climatology series contains non-finite values")
     ordered = sorted(series)
     xB = _interp_quantile(ordered, q.pB)

@@ -221,6 +221,9 @@ def render_forecast_map(
     """
     if config is None:
         config = RenderConfig()
+    if 8 * config.cell_size_px >= min(config.width_px, config.height_px):
+        raise DomainError(f"cell size {config.cell_size_px} leaves no room for the map "
+                          "inside its margin of 4 cells a side")
     if rule is None:
         rule = brier_rule()
     records = list(dataset.records)

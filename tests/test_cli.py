@@ -195,11 +195,25 @@ class TestExitCodes:
         ["render-map", "--m", "nan"],
         ["render-reliability", "--nbins", "501"],
         ["render-reliability", "--nbins", "2147483648"],
+        ["render-map", "--cell-size", "200"],
+        ["render-map", "--cell-size", "1e308"],
+        ["render-map", "--cell-size", "70"],
+        ["render-map", "--cell-size", "20", "--width", "160"],
     ], ids=["width", "height", "cell-size", "threshold", "cell-size-nan", "circle-scale-neg",
-            "circle-scale-nan", "m-nan", "nbins-501", "nbins-2^31"])
+            "circle-scale-nan", "m-nan", "nbins-501", "nbins-2^31", "cell-size-200",
+            "cell-size-1e308", "cell-size-height", "cell-size-width"])
     def test_bad_render_size_is_3(self, runner, dataset_json, tmp_path, args):
         result = runner.invoke(main, [*args, "-i", dataset_json, "-o", str(tmp_path / "x.svg")])
         assert_fails_cleanly(result, 3)
+
+    @pytest.mark.parametrize("args", [
+        ["render-map", "--cell-size", "69.9"],
+        ["render-map", "--cell-size", "19.9", "--width", "160"],
+        ["render-reliability", "--width", "50"],
+    ], ids=["cell-size-height", "cell-size-width", "reliability-width"])
+    def test_render_size_inside_bound_is_0(self, runner, dataset_json, tmp_path, args):
+        result = runner.invoke(main, [*args, "-i", dataset_json, "-o", str(tmp_path / "x.svg")])
+        assert result.exit_code == 0, result.output
 
     def test_palette_size_zero_is_3(self, runner, tmp_path):
         for size in ("0", "501", "2147483648"):
@@ -383,6 +397,37 @@ class TestProject:
         ])
         assert result.exit_code == 2, result.output
         assert named in result.output
+
+    def test_overflowing_map_is_one_line_3(self, runner, tmp_path):
+        # numpy's overflow warning would be a second line, or under
+        # filterwarnings = error the exception that ends the command
+        src, coeffs = tmp_path / "ds.csv", tmp_path / "big.json"
+        src.write_text("lat,lon,pB,pN,pA,obs\n0,0,0.2,0.3,0.5,B\n")
+        coeffs.write_text(json.dumps([1e308] * 12))
+        result = runner.invoke(main, ["project", "-i", str(src), "--apply-map", str(coeffs),
+                                      "--clip", "-o", str(tmp_path / "out.json")])
+        assert_fails_cleanly(result, 3)
+        assert result.stderr == "error: records[0]: pB is not finite: nan\n"
+
+    def test_readme_example_bytes(self, runner, tmp_path):
+        src = tmp_path / "two.json"
+        src.write_text(json.dumps({"records": [
+            {"lat": -5.0, "lon": -60.0, "pB": 0.6, "pN": 0.3, "pA": 0.1, "obs": "B"},
+            {"lat": -5.0, "lon": -59.0, "mu": 7.0, "sigma": 2.0, "mu_c": 5.0, "sigma_c": 2.0},
+        ]}))
+        want = (
+            b'{"q": [0.3333333333333333, 0.3333333333333333, 0.3333333333333333], '
+            b'"metadata": {}, "records": [\n'
+            b'{"lat": -5.0, "lon": -60.0, "pB": 0.6, "pN": 0.3, "pA": 0.1, "obs": "B"},\n'
+            b'{"lat": -5.0, "lon": -59.0, "pB": 0.07625419304339663, '
+            b'"pN": 0.20833135198693103, "pA": 0.7154144549696724}\n'
+            b"]}\n"
+        )
+        result = runner.invoke(main, ["project", "-i", str(src)])
+        assert result.exit_code == 0, result.output
+        assert result.stdout_bytes == want
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        assert want in readme.read_bytes()
 
     def test_observed_value_without_series_is_rejected(self, runner, tmp_path):
         src = tmp_path / "ds.json"

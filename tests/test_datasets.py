@@ -683,6 +683,28 @@ class TestColumnChecks:
         data = csv_bytes(*lines)
         assert outcome(parse_csv, data) == outcome(parse_csv_reference, data)
 
+    @pytest.mark.parametrize("text", [
+        "[0.5, -1.25, -0.0, 5e-324, 1e308]", "[0.5, 2]", "[0.5, true]", "[0.5, NaN]",
+        "[Infinity, 0.5]", "[0.5, 1e400]",
+    ], ids=["floats", "one-int", "one-bool", "nan", "infinity", "overflow"])
+    def test_json_array_matches_per_value_path(self, text):
+        value = json.loads(text)
+        out = tuple(map(datasets._json_float, value))
+        want = datasets._INVALID if None in out else out
+        assert repr(datasets._json_array(value)) == repr(want)
+
+    @pytest.mark.parametrize("cell", ["2.5", "abc", "nan", "inf", "1_0"])
+    @pytest.mark.parametrize("empty", [False, True], ids=["full", "with-empty"])
+    @pytest.mark.parametrize("column", ["lat", "mu", "obs_value"])
+    def test_csv_column(self, column, empty, cell):
+        header = "lat,lon,mu,sigma,mu_c,sigma_c,obs_value"
+        rows = [dict(zip(header.split(","), "1 2 3 1 0 1 0.5".split())) for _ in range(3)]
+        rows[1][column] = cell
+        if empty:
+            rows[2][column] = ""
+        data = csv_bytes(header, *(",".join(row.values()) for row in rows))
+        assert outcome(parse_csv, data) == outcome(parse_csv_reference, data)
+
 
 # Triples that make_ternary clamps or renormalises, among plain rows.
 _FIXUPS = {
@@ -791,6 +813,13 @@ def _datasets(draw) -> Dataset:
     return parse_json(json.dumps(doc).encode())
 
 
+def _dumped_lines(ds: Dataset) -> list[str]:
+    """The record lines write_json must write: json.dumps of each record's
+    object, each but the last followed by a comma."""
+    lines = [json.dumps(datasets._record_object(rec)) for rec in ds.records]
+    return [line + "," for line in lines[:-1]] + lines[-1:]
+
+
 class TestWriteJson:
     @settings(max_examples=200, deadline=None)
     @given(_datasets())
@@ -799,12 +828,25 @@ class TestWriteJson:
         assert lines.pop() == ""
         if ds.records:
             assert lines[0].endswith('"records": [') and lines.pop() == "]}"
-            body = lines[1:]
-            assert [json.loads(line.removesuffix(",")) for line in body] == [
-                datasets._record_object(rec) for rec in ds.records]
-            assert all(line.endswith(",") for line in body[:-1])
+            # byte for byte: a parsed comparison would accept 1 for 1.0
+            assert lines[1:] == _dumped_lines(ds)
         else:
             assert len(lines) == 1 and lines[0].endswith('"records": []}')
+
+    @pytest.mark.parametrize("lat, lon, p", [
+        (1, -2, make_ternary(0.2, 0.3, 0.5)),
+        (1.5, -2.5, datasets.TernaryProb(0, 1, 0)),
+        (-0.0, 0.0, datasets.TernaryProb(-0.0, 1.0, 0.0)),
+        (5e-324, -1e-300, datasets.TernaryProb(2.2250738585072014e-308, 1e-17, 1.0)),
+        (90.0, -180.0, datasets.TernaryProb(1e16, 1.7976931348623157e308, 123456789.0)),
+        (0.5, 0.5, datasets.TernaryProb(math.nan, math.inf, -math.inf)),
+        (0.5, 0.5, datasets.TernaryProb(np.float64(0.1), True, 0.9)),
+    ], ids=["int-lat-lon", "int-triple", "negative-zero", "tiny", "huge", "non-finite",
+            "float-subclass-and-bool"])
+    @pytest.mark.parametrize("obs", [None, ObsCategory.N])
+    def test_records_built_directly(self, lat, lon, p, obs):
+        ds = Dataset(records=(ForecastRecord(lat=lat, lon=lon, ternary=p, obs=obs),))
+        assert write_json(ds).decode("ascii").split("\n")[1:-2] == _dumped_lines(ds)
 
     @settings(max_examples=200, deadline=None)
     @given(_datasets())

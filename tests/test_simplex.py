@@ -131,8 +131,9 @@ def test_empirical_quantiles_median():
 def test_empirical_quantiles_needs_two_values():
     with pytest.raises(InsufficientData):
         empirical_quantiles([1.0], UNIFORM)
-    with pytest.raises(InsufficientData, match="non-finite"):
-        empirical_quantiles([1.0, math.nan, 2.0], UNIFORM)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InsufficientData, match="non-finite"):
+            empirical_quantiles([1.0, bad, 2.0], UNIFORM)
 
 
 def test_ensemble_one_member_per_category():
