@@ -362,9 +362,8 @@ def parse_csv(data: bytes) -> Dataset:
         if name == "obs":
             fields[name] = _obs_column([text or None for text in texts])
             continue
-        try:
-            fields[name] = (list(map(float, texts)) if all(texts)
-                            else [float(text) if text else None for text in texts])
+        try:  # float("") raises, so a column with an empty cell goes cell by cell
+            fields[name] = list(map(float, texts))
         except ValueError:
             fields[name] = list(map(_csv_cell, texts))
     plain = _plain_rows(len(kept), fields)
