@@ -50,25 +50,7 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineTernary", "BaryPoint", "Bin", "BinnedStats", "CalibrationReport",
-    "CategoryThresholds", "ColorHSV", "ColorRGB", "Dataset", "Decomposition",
-    "DiagramGeometry", "ForecastObsPair", "ForecastRecord", "GaussianScaled",
-    "LegacyRegion", "ObsCategory", "PaletteParams", "QuadraticMap",
-    "RenderConfig", "ScoringRule", "TernaryProb", "UNIFORM",
-    "apply_map", "assign_color", "bin_forecasts", "brier_rule", "custom_rule",
-    "decompose", "decompose_by_group", "decomposition_diagram_geometry",
-    "dominant_category", "empirical_quantiles", "ensemble_to_ternary", "fit_map",
-    "from_bary", "gaussian_to_ternary", "hex_colors", "hsv_to_rgb",
-    "information_gain", "legacy_region", "make_ternary", "mean_score_of_map",
-    "pairs_from_dataset", "parse_csv", "parse_json", "recalibration_report",
-    "render_forecast_map",
-    "render_palette_legend", "render_reliability_diagram",
-    "resolve_observation", "resolve_ternary", "rps_rule", "scale_params",
-    "score", "skill_radius", "snap_to_lattice", "std_normal_cdf",
-    "std_normal_quantile", "ternary_from_cdf", "ternary_to_gaussian",
-    "to_bary", "uncertainty", "write_json",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

@@ -64,8 +64,8 @@ def apply_map(mapping: QuadraticMap, p: TernaryProb, clip: bool = False) -> Affi
     """Evaluate the map at one forecast.
 
     Returns the affine 3-vector together with an on-simplex flag; with
-    ``clip`` the result is Euclidean-projected onto the simplex first
-    (the flag still reports where the unclipped value landed).
+    ``clip`` a finite result is Euclidean-projected onto the simplex
+    first (the flag still reports where the unclipped value landed).
     """
     # numpy's dot, not a Python sum: the two round differently
     f = np.array(_features(p.pB, p.pA))
@@ -73,7 +73,8 @@ def apply_map(mapping: QuadraticMap, p: TernaryProb, clip: bool = False) -> Affi
     tA = float(f @ mapping._cA)
     tN = 1.0 - tB - tA
     on_simplex = tB >= NEGATIVE_TOLERANCE and tN >= NEGATIVE_TOLERANCE and tA >= NEGATIVE_TOLERANCE
-    if clip and not on_simplex:
+    # tN is finite only when all three are; an overflow stays for to_ternary to name
+    if clip and not on_simplex and math.isfinite(tN):
         tB, tN, tA = _project3(tB, tN, tA)
     return AffineTernary(tB, tN, tA, on_simplex)
 

@@ -8,7 +8,9 @@ strings with channels rounded half-up.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -49,7 +51,8 @@ class RenderConfig:
 
     def __post_init__(self):
         sizes = (self.width_px, self.height_px, self.cell_size_px, self.circle_scale)
-        if not all(math.isfinite(x) and x > 0 for x in sizes):
+        # a comparison, not math.isfinite: an int beyond the float range cannot convert
+        if not all(0 < x <= sys.float_info.max for x in sizes):
             raise DomainError("render sizes and circle scale must be finite and positive")
         if self.dipole_threshold < 0:
             raise DomainError("dipole threshold must be >= 0")
@@ -60,21 +63,22 @@ def _fmt(x: float) -> str:
     return "0.0000" if s == "-0.0000" else s
 
 
-def _ternary_xy(p: TernaryProb) -> tuple[float, float]:
-    """Unit equilateral triangle coordinates (y up, corner B at origin)."""
-    return (0.5 * p.pN + p.pA, _SQRT3_2 * p.pN)
-
-
 class _Box:
-    """Maps unit-triangle coordinates into a pixel rectangle (y down)."""
+    """Maps simplex points into a pixel rectangle (y down)."""
 
     def __init__(self, x0: float, y0: float, edge: float):
         self.x0 = x0
         self.y0 = y0  # pixel y of the triangle base
         self.edge = edge
 
-    def to_px(self, xy: tuple[float, float]) -> tuple[float, float]:
-        return (self.x0 + xy[0] * self.edge, self.y0 - xy[1] * self.edge)
+    def to_px(self, p: TernaryProb) -> tuple[float, float]:
+        """Pixel position of p on the equilateral triangle with corner B at
+        (x0, y0), corner A to its right and corner N above."""
+        return (self.x0 + (0.5 * p.pN + p.pA) * self.edge, self.y0 - _SQRT3_2 * p.pN * self.edge)
+
+
+# corners B, A and N, in the order the outline visits them
+_CORNERS = (TernaryProb(1.0, 0.0, 0.0), TernaryProb(0.0, 0.0, 1.0), TernaryProb(0.0, 1.0, 0.0))
 
 
 def _fill_color(p: TernaryProb, q: TernaryProb, params: PaletteParams) -> str:
@@ -91,49 +95,46 @@ def _cross(out: list[str], x: float, y: float, arm: float, color: str) -> None:
 
 
 def _triangle_outline(out: list[str], box: _Box) -> None:
-    (x0, y0), (x1, y1), (x2, y2) = [
-        box.to_px(c) for c in ((0.0, 0.0), (1.0, 0.0), (0.5, _SQRT3_2))
-    ]
+    (x0, y0), (x1, y1), (x2, y2) = [box.to_px(c) for c in _CORNERS]
     out.append(
         f'<path d="M {_fmt(x0)} {_fmt(y0)} L {_fmt(x1)} {_fmt(y1)} '
         f'L {_fmt(x2)} {_fmt(y2)} Z" fill="none" stroke="#000000" stroke-width="1"/>'
     )
 
 
-def _legend_cells(
-    out: list[str], q: TernaryProb, params: PaletteParams, size: int, box: _Box
-) -> None:
-    """Fill the triangle with size^2 coloured sub-triangles."""
-
-    def vertex(a: int, b: int, c: int) -> tuple[float, float]:
-        return box.to_px(_ternary_xy(make_ternary(a / size, b / size, c / size)))
-
-    def emit(tri: list[tuple[int, int, int]]) -> None:
-        centroid = make_ternary(
-            sum(v[0] for v in tri) / (3.0 * size),
-            sum(v[1] for v in tri) / (3.0 * size),
-            sum(v[2] for v in tri) / (3.0 * size),
-        )
-        color = _fill_color(centroid, q, params)
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (vertex(*v) for v in tri))
-        out.append(f'<polygon points="{pts}" fill="{color}" stroke="{color}" stroke-width="0.5"/>')
-
-    for a in range(size):
-        for b in range(size - a):
-            c = size - 1 - a - b
-            emit([(a + 1, b, c), (a, b + 1, c), (a, b, c + 1)])
-    for a in range(size - 1):
-        for b in range(size - 1 - a):
-            c = size - 2 - a - b
-            emit([(a, b + 1, c + 1), (a + 1, b, c + 1), (a + 1, b + 1, c)])
+def _lattice_px(size: int, box: _Box) -> dict[tuple[int, int], tuple[float, float]]:
+    """Pixel position of each lattice point (a, b, size - a - b) / size,
+    keyed (a, b), a descending and then b descending."""
+    return {
+        (a, b): box.to_px(make_ternary(a / size, b / size, (size - a - b) / size))
+        for a in range(size, -1, -1)
+        for b in range(size - a, -1, -1)
+    }
 
 
 def _legend(
     out: list[str], q: TernaryProb, params: PaletteParams, size: int, box: _Box
 ) -> None:
-    _legend_cells(out, q, params, size, box)
+    """Fill the triangle with size^2 coloured sub-triangles, outline it and
+    cross the climatology."""
+    vertex = {key: f"{_fmt(x)},{_fmt(y)}" for key, (x, y) in _lattice_px(size, box).items()}
+    n = 3.0 * size
+
+    def emit(a: int, b: int, c: int, k: int, corners: tuple[tuple[int, int], ...]) -> None:
+        # the corners' lattice indices sum to (3a + k, 3b + k, 3c + k)
+        color = _fill_color(make_ternary((3 * a + k) / n, (3 * b + k) / n, (3 * c + k) / n),
+                            q, params)
+        pts = " ".join(vertex[v] for v in corners)
+        out.append(f'<polygon points="{pts}" fill="{color}" stroke="{color}" stroke-width="0.5"/>')
+
+    for a in range(size):
+        for b in range(size - a):
+            emit(a, b, size - 1 - a - b, 1, ((a + 1, b), (a, b + 1), (a, b)))
+    for a in range(size - 1):
+        for b in range(size - 1 - a):
+            emit(a, b, size - 2 - a - b, 2, ((a, b + 1), (a + 1, b), (a + 1, b + 1)))
     _triangle_outline(out, box)
-    qx, qy = box.to_px(_ternary_xy(q))
+    qx, qy = box.to_px(q)
     _cross(out, qx, qy, max(3.0, box.edge * 0.02), _CROSS_COLOR)
 
 
@@ -166,41 +167,45 @@ def render_palette_legend(
     return _document(width, height, out)
 
 
-def _geo_projection(records, width, height, margin):
-    lons = [r.lon for r in records]
-    lats = [r.lat for r in records]
-    lon_span = max(max(lons) - min(lons), 1e-9)
-    lat_span = max(max(lats) - min(lats), 1e-9)
-    sx = (width - 2 * margin) / lon_span
-    sy = (height - 2 * margin) / lat_span
-    lon0, lat1 = min(lons), max(lats)
+def _geo_projection(
+    points: np.ndarray, frame: np.ndarray, config: RenderConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel x and y of the (lat, lon) rows of ``points`` on the
+    equirectangular map whose box, 4 cells inside each edge, spans the
+    rows of ``frame``."""
+    margin = 4 * config.cell_size_px
+    (lat0, lon0), (lat1, lon1) = frame.min(axis=0), frame.max(axis=0)
+    sx = (config.width_px - 2 * margin) / max(lon1 - lon0, 1e-9)
+    sy = (config.height_px - 2 * margin) / max(lat1 - lat0, 1e-9)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        xs, ys = margin + (points[:, 1] - lon0) * sx, margin + (lat1 - points[:, 0]) * sy
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise DomainError(f"a map of {config.width_px:g} x {config.height_px:g} px puts a "
+                          "point beyond the float range")
+    return xs, ys
 
-    def project(lat: float, lon: float) -> tuple[float, float]:
-        return (margin + (lon - lon0) * sx, margin + (lat1 - lat) * sy)
 
-    return project
-
-
-def _skill_by_location(records, observations, F, config, rule) -> dict:
-    """skill_radius of each observed location's own decomposition; None
-    where it has fewer than ``min_pairs_for_circle`` pairs."""
-    loc_ids: dict[tuple[float, float], int] = {}
-    rows, obs_index, group = [], [], []
-    for i, (rec, obs) in enumerate(zip(records, observations)):
-        if obs is not None:
-            rows.append(i)
-            obs_index.append(obs.index)
-            group.append(loc_ids.setdefault((rec.lat, rec.lon), len(loc_ids)))
+def _skill_by_record(locs: np.ndarray, observations, F, config, rule) -> np.ndarray:
+    """skill_radius of each record's location, from the location's own
+    decomposition; NaN where it is undefined or the location has fewer
+    than ``min_pairs_for_circle`` pairs."""
+    rows = [i for i, obs in enumerate(observations) if obs is not None]
     if not rows:
         raise MissingVerificationHistory(
             "skill circles requested but no record carries an observation"
         )
-    group = np.array(group)
-    decomps = decompose_by_group(rule, F[rows], np.array(obs_index), group, config.nbins)
-    return {
-        loc: skill_radius(d) if n >= config.min_pairs_for_circle else None
-        for loc, d, n in zip(loc_ids, decomps, np.bincount(group).tolist())
-    }
+    # each (lat, lon) row read as one complex number, which np.unique sorts
+    # fast; -0.0 == 0.0, so both are one location
+    places, loc = np.unique(locs.view(complex)[:, 0], return_inverse=True)
+    observed, group = np.unique(loc[rows], return_inverse=True)
+    obs_index = np.array([observations[i].index for i in rows])
+    decomps = decompose_by_group(rule, F[rows], obs_index, group, config.nbins)
+    skill = np.full(len(places), np.nan)
+    skill[observed] = np.array([  # None becomes NaN
+        skill_radius(d) if n >= config.min_pairs_for_circle else None
+        for d, n in zip(decomps, np.bincount(group).tolist())
+    ], dtype=float)
+    return skill[loc]
 
 
 def render_forecast_map(
@@ -224,48 +229,45 @@ def render_forecast_map(
     if 8 * config.cell_size_px >= min(config.width_px, config.height_px):
         raise DomainError(f"cell size {config.cell_size_px} leaves no room for the map "
                           "inside its margin of 4 cells a side")
+    # skill is at most 1, so this product bounds every circle's radius
+    circle_max = config.cell_size_px * config.circle_scale
+    if config.show_skill_circles and not math.isfinite(circle_max):
+        raise DomainError(f"circle scale {config.circle_scale} times cell size "
+                          f"{config.cell_size_px} is not a finite radius")
     if rule is None:
         rule = brier_rule()
-    records = list(dataset.records)
-    if not records:
+    if not dataset.records:
         raise MissingVerificationHistory("dataset has no records to draw")
-    project = _geo_projection(records, config.width_px, config.height_px, 4 * config.cell_size_px)
+    locs = np.array([(r.lat, r.lon) for r in dataset.records], dtype=float)
+    xs, ys = _geo_projection(locs, locs, config)
 
+    out: list[str] = []
     if config.show_skill_circles:
         resolved = resolve_records(
             dataset, lambda rec, q: (resolve_observation(rec, q), resolve_ternary(rec, q))
         )
         F = np.array([p.as_tuple() for _, p in resolved])
-        skill_by_loc = _skill_by_location(records, [obs for obs, _ in resolved], F, config, rule)
+        skill = _skill_by_record(locs, [obs for obs, _ in resolved], F, config, rule)
+        colors = hex_colors(F, dataset.q, config.palette)
+        for x, y, s, color in zip(xs.tolist(), ys.tolist(), skill.tolist(), colors):
+            if s > 0.0:  # no circle for NaN skill
+                out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(circle_max * s)}" '
+                           f'fill="{color}"/>')
     else:
         F = np.array([p.as_tuple() for p in resolve_records(dataset, resolve_ternary)])
+        half = config.cell_size_px / 2.0
+        side = _fmt(config.cell_size_px)
+        for x, y, color in zip(xs.tolist(), ys.tolist(), hex_colors(F, dataset.q, config.palette)):
+            out.append(f'<rect x="{_fmt(x - half)}" y="{_fmt(y - half)}" '
+                       f'width="{side}" height="{side}" fill="{color}"/>')
 
-    out: list[str] = []
-    half = config.cell_size_px / 2.0
-    for rec, color in zip(records, hex_colors(F, dataset.q, config.palette)):
-        x, y = project(rec.lat, rec.lon)
-        if config.show_skill_circles:
-            skill = skill_by_loc.get((rec.lat, rec.lon))
-            if skill is None or skill <= 0.0:
-                continue
-            radius = config.cell_size_px * config.circle_scale * skill
-            out.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" fill="{color}"/>'
-            )
-        else:
-            out.append(
-                f'<rect x="{_fmt(x - half)}" y="{_fmt(y - half)}" '
-                f'width="{_fmt(config.cell_size_px)}" height="{_fmt(config.cell_size_px)}" '
-                f'fill="{color}"/>'
-            )
-
-    for line in overlay or []:
-        pts = " ".join(
-            f"{_fmt(x)},{_fmt(y)}" for x, y in (project(lat, lon) for lat, lon in line)
-        )
-        out.append(
-            f'<polyline points="{pts}" fill="none" stroke="#555555" stroke-width="1"/>'
-        )
+    lines = overlay or []
+    points = np.array([pt for line in lines for pt in line], dtype=float).reshape(-1, 2)
+    ox, oy = _geo_projection(points, locs, config)
+    vertices = iter([f"{_fmt(x)},{_fmt(y)}" for x, y in zip(ox.tolist(), oy.tolist())])
+    for line in lines:
+        pts = " ".join(islice(vertices, len(line)))
+        out.append(f'<polyline points="{pts}" fill="none" stroke="#555555" stroke-width="1"/>')
 
     legend_edge = min(config.width_px, config.height_px) * 0.28
     box = _Box(
@@ -290,20 +292,12 @@ def _shade_for_count(count: int, max_count: int) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def _all_lattice_points(nbins: int):
-    for iB in range(nbins, -1, -1):
-        for iN in range(nbins - iB, -1, -1):
-            yield (iB, iN, nbins - iB - iN)
-
-
 def _sharpness_inset(out: list[str], binned: BinnedStats, box: _Box) -> None:
     counts = dict(zip(map(tuple, binned.keys.tolist()), binned.obs_counts.sum(axis=1).tolist()))
     max_count = max(counts.values()) if counts else 1
     radius = box.edge / (2.0 * binned.nbins)
-    for key in _all_lattice_points(binned.nbins):
-        p = make_ternary(key[0] / binned.nbins, key[1] / binned.nbins, key[2] / binned.nbins)
-        x, y = box.to_px(_ternary_xy(p))
-        color = _shade_for_count(counts.get(key, 0), max_count)
+    for (a, b), (x, y) in _lattice_px(binned.nbins, box).items():
+        color = _shade_for_count(counts.get((a, b, binned.nbins - a - b), 0), max_count)
         out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" fill="{color}"/>')
     _triangle_outline(out, box)
 
@@ -394,14 +388,14 @@ def render_reliability_diagram(
     )
     _triangle_outline(out, main_box)
 
-    qx, qy = main_box.to_px(_ternary_xy(decomposition.q_bar))
+    qx, qy = main_box.to_px(decomposition.q_bar)
     _cross(out, qx, qy, main_edge * 0.015, _CROSS_COLOR)
 
     shown = [b for b in binned.bins if b.count >= config.dipole_threshold]
     out.append('<g id="dipoles">')
     for b in shown:
-        fx, fy = main_box.to_px(_ternary_xy(b.center))
-        ox, oy = main_box.to_px(_ternary_xy(b.mean_obs))
+        fx, fy = main_box.to_px(b.center)
+        ox, oy = main_box.to_px(b.mean_obs)
         out.append("<g>")
         out.append(
             f'<line x1="{_fmt(fx)}" y1="{_fmt(fy)}" x2="{_fmt(ox)}" y2="{_fmt(oy)}" '

@@ -199,18 +199,35 @@ class TestExitCodes:
         ["render-map", "--cell-size", "1e308"],
         ["render-map", "--cell-size", "70"],
         ["render-map", "--cell-size", "20", "--width", "160"],
+        ["render-map", "--width", str(10**400)],
+        ["render-map", "--height", str(10**400)],
+        ["render-reliability", "--width", str(10**400)],
+        ["render-reliability", "--height", str(10**400)],
+        ["render-map", "--circle-scale", "1e308", "--show-skill-circles"],
     ], ids=["width", "height", "cell-size", "threshold", "cell-size-nan", "circle-scale-neg",
             "circle-scale-nan", "m-nan", "nbins-501", "nbins-2^31", "cell-size-200",
-            "cell-size-1e308", "cell-size-height", "cell-size-width"])
+            "cell-size-1e308", "cell-size-height", "cell-size-width", "map-width-10^400",
+            "map-height-10^400", "reliability-width-10^400", "reliability-height-10^400",
+            "circle-radius-inf"])
     def test_bad_render_size_is_3(self, runner, dataset_json, tmp_path, args):
         result = runner.invoke(main, [*args, "-i", dataset_json, "-o", str(tmp_path / "x.svg")])
         assert_fails_cleanly(result, 3)
+
+    def test_map_beyond_float_range_is_3(self, runner, tmp_path):
+        # one row of records: the lat span is taken as 1e-9, so the y scale overflows
+        src = tmp_path / "row.csv"
+        src.write_text("lat,lon,pB,pN,pA\n0,0,0.2,0.3,0.5\n0,1,0.3,0.3,0.4\n")
+        result = runner.invoke(main, ["render-map", "-i", str(src), "-o", str(tmp_path / "x.svg"),
+                                      "--height", str(10**300)])
+        assert_fails_cleanly(result, 3)
+        assert "720 x 1e+300 px" in result.stderr
 
     @pytest.mark.parametrize("args", [
         ["render-map", "--cell-size", "69.9"],
         ["render-map", "--cell-size", "19.9", "--width", "160"],
         ["render-reliability", "--width", "50"],
-    ], ids=["cell-size-height", "cell-size-width", "reliability-width"])
+        ["render-map", "--circle-scale", "1e308"],  # drawn without circles, so unused
+    ], ids=["cell-size-height", "cell-size-width", "reliability-width", "circle-scale-unused"])
     def test_render_size_inside_bound_is_0(self, runner, dataset_json, tmp_path, args):
         result = runner.invoke(main, [*args, "-i", dataset_json, "-o", str(tmp_path / "x.svg")])
         assert result.exit_code == 0, result.output
@@ -407,7 +424,17 @@ class TestProject:
         result = runner.invoke(main, ["project", "-i", str(src), "--apply-map", str(coeffs),
                                       "--clip", "-o", str(tmp_path / "out.json")])
         assert_fails_cleanly(result, 3)
-        assert result.stderr == "error: records[0]: pB is not finite: nan\n"
+        assert result.stderr == "error: records[0]: pB is not finite: inf\n"
+
+    def test_clipped_overflow_is_named(self, runner, dataset_json, tmp_path):
+        # on the first record (pB 0.319, pA 0.175) both map terms stay finite
+        # and tN = 1 - tB - tA overflows; clipping it would give (0, 0, 0)
+        coeffs = tmp_path / "big.json"
+        coeffs.write_text(json.dumps([1e308] * 12))
+        result = runner.invoke(main, ["project", "-i", dataset_json, "--apply-map", str(coeffs),
+                                      "--clip", "-o", str(tmp_path / "out.json")])
+        assert_fails_cleanly(result, 3)
+        assert result.stderr == "error: records[0]: pN is not finite: -inf\n"
 
     def test_readme_example_bytes(self, runner, tmp_path):
         src = tmp_path / "two.json"

@@ -142,6 +142,17 @@ class TestApplyMap:
             want = min(res.pB, res.pN, res.pA) >= -1e-12
             assert res.on_simplex == want
 
+    @pytest.mark.parametrize("p", [(0.319, 0.506, 0.175), (0.2, 0.3, 0.5)],
+                             ids=["tN-overflows", "terms-overflow"])
+    def test_clip_leaves_overflow_unclipped(self, p):
+        huge = QuadraticMap((1e308,) * 12)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = apply_map(huge, make_ternary(*p), clip=True)
+            want = apply_map_reference(huge, make_ternary(*p), clip=True)
+            unclipped = apply_map(huge, make_ternary(*p))
+        assert not all(map(math.isfinite, got.as_array()))
+        assert _bits(got.as_array()) == _bits(want.as_array()) == _bits(unclipped.as_array())
+
 
 class TestProjectToSimplex:
     def test_inside_is_fixed(self):
@@ -337,7 +348,7 @@ def apply_map_reference(mapping, p, clip=False):
     tA = float(f @ c[6:])
     tN = 1.0 - tB - tA
     on_simplex = tB >= NEGATIVE_TOLERANCE and tN >= NEGATIVE_TOLERANCE and tA >= NEGATIVE_TOLERANCE
-    if clip and not on_simplex:
+    if clip and not on_simplex and all(map(math.isfinite, (tB, tN, tA))):
         tB, tN, tA = project_reference(np.array([tB, tN, tA]))
     return AffineTernary(tB, tN, tA, on_simplex)
 

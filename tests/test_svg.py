@@ -63,9 +63,9 @@ class TestRenderConfig:
     @pytest.mark.parametrize("kw", [
         {"width_px": 0}, {"height_px": -1}, {"cell_size_px": math.nan},
         {"cell_size_px": math.inf}, {"circle_scale": -1.0}, {"circle_scale": 0.0},
-        {"circle_scale": math.nan},
+        {"circle_scale": math.nan}, {"width_px": 10**400}, {"height_px": 10**400},
     ], ids=["width-0", "height-neg", "cell-nan", "cell-inf", "circle-neg", "circle-0",
-            "circle-nan"])
+            "circle-nan", "width-beyond-float", "height-beyond-float"])
     def test_rejects_non_positive_or_non_finite_sizes(self, kw):
         with pytest.raises(DomainError):
             RenderConfig(**kw)
@@ -149,6 +149,18 @@ class TestForecastMap:
         body = render_forecast_map(ds, config).decode()
         main = body.split('<g id="legend">')[0]
         assert not [ln for ln in main.splitlines() if ln.startswith("<circle")]
+
+    def test_signed_zero_coordinates_are_one_location(self):
+        # six pairs at (0, 0), three of them written as (-0.0, -0.0): one
+        # location with enough pairs for a circle
+        records = [
+            r if i % 2 else ForecastRecord(lat=-0.0, lon=-0.0, ternary=r.ternary, obs=r.obs)
+            for i, r in enumerate(skill_history_dataset().records[:6])
+        ]
+        config = RenderConfig(show_skill_circles=True, min_pairs_for_circle=6)
+        body = render_forecast_map(Dataset(records=tuple(records)), config).decode()
+        main = body.split('<g id="legend">')[0]
+        assert len([ln for ln in main.splitlines() if ln.startswith("<circle")]) == 6
 
     def test_circles_without_history_fail(self):
         ds = Dataset(records=(ForecastRecord(lat=0, lon=0, ternary=UNIFORM),))
@@ -250,28 +262,40 @@ class TestReliabilityDiagram:
 class TestGoldenFiles:
     """Byte-for-byte stability of the document types."""
 
-    def test_legend_golden(self):
-        got = render_palette_legend(UNIFORM, PaletteParams(), 16)
-        assert got == (GOLDEN / "legend.svg").read_bytes()
+    @pytest.mark.parametrize("name, q, params, size", [
+        ("legend.svg", UNIFORM, PaletteParams(), 16),
+        ("legend_q5.svg", make_ternary(0.2, 0.3, 0.5), PaletteParams(m=1.1, theta0=0.3), 5),
+    ], ids=["uniform-16", "q-5"])
+    def test_legend_golden(self, name, q, params, size):
+        got = render_palette_legend(q, params, size)
+        assert got == (GOLDEN / name).read_bytes()
 
     def test_map_golden(self):
         config = RenderConfig(show_skill_circles=True, min_pairs_for_circle=10)
         got = render_forecast_map(frozen_dataset(), config)
         assert got == (GOLDEN / "map_circles.svg").read_bytes()
 
-    @pytest.mark.parametrize("name, q, params", [
-        ("map_cells.svg", UNIFORM, PaletteParams()),
-        ("map_cells_q.svg", make_ternary(0.25, 0.5, 0.25), PaletteParams(m=1.3, theta0=1.0)),
-    ], ids=["uniform", "q-rotated"])
-    def test_cell_map_golden(self, name, q, params):
+    @pytest.mark.parametrize("name, q, params, overlay", [
+        ("map_cells.svg", UNIFORM, PaletteParams(), None),
+        ("map_cells_q.svg", make_ternary(0.25, 0.5, 0.25), PaletteParams(m=1.3, theta0=1.0),
+         None),
+        # the records span lat 0..3 and lon 0..4; the last two lines leave that frame
+        ("map_cells_overlay.svg", UNIFORM, PaletteParams(),
+         [[(0.0, 0.0), (1.5, 2.25), (3.0, 4.0)], [(-1.0, 2.0), (0.5, 6.5)],
+          [(2.5, -0.75), (2.0, 1.0), (1.0, 3.0), (0.25, 4.5)]]),
+    ], ids=["uniform", "q-rotated", "overlay"])
+    def test_cell_map_golden(self, name, q, params, overlay):
         ds = Dataset(records=frozen_dataset().records, q=q)
-        got = render_forecast_map(ds, RenderConfig(palette=params))
+        got = render_forecast_map(ds, RenderConfig(palette=params), overlay=overlay)
         assert got == (GOLDEN / name).read_bytes()
 
-    def test_reliability_golden(self):
+    @pytest.mark.parametrize("name, nbins", [
+        ("reliability.svg", 11), ("reliability_nbins5.svg", 5),
+    ], ids=["nbins-11", "nbins-5"])
+    def test_reliability_golden(self, name, nbins):
         ds = frozen_dataset()
         pairs = [ForecastObsPair(r.ternary, r.obs) for r in ds.records]
-        binned = bin_forecasts(pairs, 11)
+        binned = bin_forecasts(pairs, nbins)
         decomp = decompose(brier_rule(), binned)
         got = render_reliability_diagram(binned, decomp, RenderConfig(dipole_threshold=10))
-        assert got == (GOLDEN / "reliability.svg").read_bytes()
+        assert got == (GOLDEN / name).read_bytes()
