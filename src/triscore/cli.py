@@ -194,11 +194,11 @@ def project(input_path, output_path, map_path, clip):
     out = Dataset(records=tuple(records), q=dataset.q, metadata=dataset.metadata)
     _write_bytes(output_path, write_json(out))
     if output_path not in (None, "-"):
-        click.echo(json.dumps({
+        _emit_summary({
             "output": output_path,
             "n_records": len(records),
             "n_off_simplex": n_off,
-        }, indent=2))
+        }, None)
 
 
 @main.command(name="score")
@@ -311,11 +311,11 @@ def render_map(input_path, output_path, score_rule, nbins, m, theta0, anchors,
     data = render_forecast_map(dataset, config, _rule_by_name(score_rule), overlay)
     _write_bytes(output_path, data)
     drawn = data[:data.index(b'<g id="legend">')]
-    click.echo(json.dumps({
+    _emit_summary({
         "output": output_path,
         "n_records": len(dataset.records),
         "n_drawn": drawn.count(b"<circle " if show_skill_circles else b"<rect "),
-    }, indent=2))
+    }, None)
 
 
 def _load_overlay(path: str) -> list[list[tuple[float, float]]]:
@@ -356,8 +356,8 @@ def render_reliability(input_path, output_path, score_rule, nbins, threshold, wi
     data = render_reliability_diagram(binned, decomp, config)
     _write_bytes(output_path, data)
     shown = int((binned.obs_counts.sum(axis=1) >= threshold).sum())
-    click.echo(json.dumps({"output": output_path, "n_bins": len(binned.keys),
-                           "n_dipoles": shown}, indent=2))
+    _emit_summary({"output": output_path, "n_bins": len(binned.keys),
+                   "n_dipoles": shown}, None)
 
 
 @main.command()
@@ -388,7 +388,7 @@ def palette(output_path, q_text, m, theta0, anchors, size):
     q = make_ternary(*vals)
     data = render_palette_legend(q, _palette_from(m, theta0, anchors), size)
     _write_bytes(output_path, data)
-    click.echo(json.dumps({"output": output_path, "size": size}, indent=2))
+    _emit_summary({"output": output_path, "size": size}, None)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Deterministic SVG rendering of palettes, forecast maps and
 reliability diagrams.
 
-Identical inputs produce byte-identical documents: floats are always
-written with four decimal places, elements are emitted in a fixed
-order, and all styling is inline.  Colours are 7-character #RRGGBB
-strings with channels rounded half-up.
+Identical inputs produce byte-identical documents: every coordinate,
+length and radius is written ``%.4f``, with a negative zero written
+``0.0000``, elements are emitted in a fixed order, and all styling is
+inline.  Colours are 7-character #RRGGBB strings with channels rounded
+half-up.
 """
 
 import math
@@ -58,9 +59,10 @@ class RenderConfig:
             raise DomainError("dipole threshold must be >= 0")
 
 
-def _fmt(x: float) -> str:
-    s = f"{x:.4f}"
-    return "0.0000" if s == "-0.0000" else s
+# one template per element kind written in more than one place
+_LINE = '<line x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" stroke="%s" stroke-width="%s"%s/>'
+_CIRCLE = '<circle cx="%.4f" cy="%.4f" r="%.4f" fill="%s"/>'
+_TEXT = '<text x="%.4f" y="%.4f" font-family="sans-serif" font-size="11" fill="#000000">%s</text>'
 
 
 class _Box:
@@ -81,25 +83,15 @@ class _Box:
 _CORNERS = (TernaryProb(1.0, 0.0, 0.0), TernaryProb(0.0, 0.0, 1.0), TernaryProb(0.0, 1.0, 0.0))
 
 
-def _fill_color(p: TernaryProb, q: TernaryProb, params: PaletteParams) -> str:
-    return hsv_to_rgb(assign_color(p, q, params)).to_hex()
-
-
 def _cross(out: list[str], x: float, y: float, arm: float, color: str) -> None:
     for dx0, dy0, dx1, dy1 in ((-arm, -arm, arm, arm), (-arm, arm, arm, -arm)):
-        out.append(
-            f'<line x1="{_fmt(x + dx0)}" y1="{_fmt(y + dy0)}" '
-            f'x2="{_fmt(x + dx1)}" y2="{_fmt(y + dy1)}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
+        out.append(_LINE % (x + dx0, y + dy0, x + dx1, y + dy1, color, "2", ""))
 
 
 def _triangle_outline(out: list[str], box: _Box) -> None:
-    (x0, y0), (x1, y1), (x2, y2) = [box.to_px(c) for c in _CORNERS]
-    out.append(
-        f'<path d="M {_fmt(x0)} {_fmt(y0)} L {_fmt(x1)} {_fmt(y1)} '
-        f'L {_fmt(x2)} {_fmt(y2)} Z" fill="none" stroke="#000000" stroke-width="1"/>'
-    )
+    corners = [xy for c in _CORNERS for xy in box.to_px(c)]
+    out.append('<path d="M %.4f %.4f L %.4f %.4f L %.4f %.4f Z" fill="none" '
+               'stroke="#000000" stroke-width="1"/>' % tuple(corners))
 
 
 def _lattice_px(size: int, box: _Box) -> dict[tuple[int, int], tuple[float, float]]:
@@ -117,13 +109,13 @@ def _legend(
 ) -> None:
     """Fill the triangle with size^2 coloured sub-triangles, outline it and
     cross the climatology."""
-    vertex = {key: f"{_fmt(x)},{_fmt(y)}" for key, (x, y) in _lattice_px(size, box).items()}
+    vertex = {key: "%.4f,%.4f" % xy for key, xy in _lattice_px(size, box).items()}
     n = 3.0 * size
 
     def emit(a: int, b: int, c: int, k: int, corners: tuple[tuple[int, int], ...]) -> None:
         # the corners' lattice indices sum to (3a + k, 3b + k, 3c + k)
-        color = _fill_color(make_ternary((3 * a + k) / n, (3 * b + k) / n, (3 * c + k) / n),
-                            q, params)
+        p = make_ternary((3 * a + k) / n, (3 * b + k) / n, (3 * c + k) / n)
+        color = hsv_to_rgb(assign_color(p, q, params)).to_hex()
         pts = " ".join(vertex[v] for v in corners)
         out.append(f'<polygon points="{pts}" fill="{color}" stroke="{color}" stroke-width="0.5"/>')
 
@@ -143,7 +135,11 @@ def _document(width: int, height: int, elements: list[str]) -> bytes:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     )
-    return ("\n".join([head, *elements, "</svg>"]) + "\n").encode("utf-8")
+    text = "\n".join([head, *elements, "</svg>"]) + "\n"
+    # A "%.4f" number contains "-0.0000" only when it is a negative zero, and
+    # nothing else in a figure can: labels have 3 decimals, colours are hex
+    # and the dipole threshold is a non-negative int.
+    return text.replace("-0.0000", "0.0000").encode("utf-8")
 
 
 def render_palette_legend(
@@ -185,12 +181,13 @@ def _geo_projection(
     return xs, ys
 
 
-def _skill_by_record(locs: np.ndarray, observations, F, config, rule) -> np.ndarray:
+def _skill_by_record(locs: np.ndarray, obs: np.ndarray, F, config, rule) -> np.ndarray:
     """skill_radius of each record's location, from the location's own
     decomposition; NaN where it is undefined or the location has fewer
-    than ``min_pairs_for_circle`` pairs."""
-    rows = [i for i, obs in enumerate(observations) if obs is not None]
-    if not rows:
+    than ``min_pairs_for_circle`` pairs.  ``obs`` holds each record's
+    category index, -1 where it is unobserved."""
+    rows = np.flatnonzero(obs >= 0)
+    if not len(rows):
         raise MissingVerificationHistory(
             "skill circles requested but no record carries an observation"
         )
@@ -198,8 +195,7 @@ def _skill_by_record(locs: np.ndarray, observations, F, config, rule) -> np.ndar
     # fast; -0.0 == 0.0, so both are one location
     places, loc = np.unique(locs.view(complex)[:, 0], return_inverse=True)
     observed, group = np.unique(loc[rows], return_inverse=True)
-    obs_index = np.array([observations[i].index for i in rows])
-    decomps = decompose_by_group(rule, F[rows], obs_index, group, config.nbins)
+    decomps = decompose_by_group(rule, F[rows], obs[rows], group, config.nbins)
     skill = np.full(len(places), np.nan)
     skill[observed] = np.array([  # None becomes NaN
         skill_radius(d) if n >= config.min_pairs_for_circle else None
@@ -243,28 +239,29 @@ def render_forecast_map(
 
     out: list[str] = []
     if config.show_skill_circles:
-        resolved = resolve_records(
-            dataset, lambda rec, q: (resolve_observation(rec, q), resolve_ternary(rec, q))
-        )
-        F = np.array([p.as_tuple() for _, p in resolved])
-        skill = _skill_by_record(locs, [obs for obs, _ in resolved], F, config, rule)
+        def resolve(rec, q):
+            # the observation first, so that its error is the one reported
+            obs = resolve_observation(rec, q)
+            return -1 if obs is None else obs.index, resolve_ternary(rec, q).as_tuple()
+
+        obs, F = map(np.array, zip(*resolve_records(dataset, resolve)))
+        skill = _skill_by_record(locs, obs, F, config, rule)
         colors = hex_colors(F, dataset.q, config.palette)
         for x, y, s, color in zip(xs.tolist(), ys.tolist(), skill.tolist(), colors):
             if s > 0.0:  # no circle for NaN skill
-                out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(circle_max * s)}" '
-                           f'fill="{color}"/>')
+                out.append(_CIRCLE % (x, y, circle_max * s, color))
     else:
         F = np.array([p.as_tuple() for p in resolve_records(dataset, resolve_ternary)])
         half = config.cell_size_px / 2.0
-        side = _fmt(config.cell_size_px)
+        side = "%.4f" % config.cell_size_px
+        rect = f'<rect x="%.4f" y="%.4f" width="{side}" height="{side}" fill="%s"/>'
         for x, y, color in zip(xs.tolist(), ys.tolist(), hex_colors(F, dataset.q, config.palette)):
-            out.append(f'<rect x="{_fmt(x - half)}" y="{_fmt(y - half)}" '
-                       f'width="{side}" height="{side}" fill="{color}"/>')
+            out.append(rect % (x - half, y - half, color))
 
     lines = overlay or []
     points = np.array([pt for line in lines for pt in line], dtype=float).reshape(-1, 2)
     ox, oy = _geo_projection(points, locs, config)
-    vertices = iter([f"{_fmt(x)},{_fmt(y)}" for x, y in zip(ox.tolist(), oy.tolist())])
+    vertices = iter(["%.4f,%.4f" % xy for xy in zip(ox.tolist(), oy.tolist())])
     for line in lines:
         pts = " ".join(islice(vertices, len(line)))
         out.append(f'<polyline points="{pts}" fill="none" stroke="#555555" stroke-width="1"/>')
@@ -298,7 +295,7 @@ def _sharpness_inset(out: list[str], binned: BinnedStats, box: _Box) -> None:
     radius = box.edge / (2.0 * binned.nbins)
     for (a, b), (x, y) in _lattice_px(binned.nbins, box).items():
         color = _shade_for_count(counts.get((a, b, binned.nbins - a - b), 0), max_count)
-        out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" fill="{color}"/>')
+        out.append(_CIRCLE % (x, y, radius, color))
     _triangle_outline(out, box)
 
 
@@ -320,37 +317,28 @@ def _decomposition_inset(
     ox, oy = pt((0.0, 0.0))
     dx, dy = pt(geom.chord_zero_resolution[1])
     r_px = geom.semicircle_radius * scale
-    out.append(
-        f'<path d="M {_fmt(ox)} {_fmt(oy)} A {_fmt(r_px)} {_fmt(r_px)} 0 0 1 '
-        f'{_fmt(dx)} {_fmt(dy)}" fill="none" stroke="#999999" stroke-width="1"/>'
-    )
+    out.append('<path d="M %.4f %.4f A %.4f %.4f 0 0 1 %.4f %.4f" fill="none" '
+               'stroke="#999999" stroke-width="1"/>' % (ox, oy, r_px, r_px, dx, dy))
 
     origin, vertex, diam_end = geom.large_triangle
     w = geom.small_triangle[2]
+    dashed = ' stroke-dasharray="6,4"'
     segments = [
-        (origin, diam_end, "#0000cc", None),    # sqrt(U), the diameter
-        (vertex, diam_end, "#008800", None),    # sqrt(Z)
-        (origin, vertex, "#880088", None),      # sqrt(U-Z)
-        (vertex, w, _DIPOLE_COLOR, None),       # sqrt(R)
-        (origin, w, "#000000", None),           # sqrt(S)
-        (origin, diam_end, "#0000cc", "6,4"),   # limit: zero resolution
-        (origin, vertex, "#880088", "6,4"),     # limit: perfect reliability
+        (origin, diam_end, "#0000cc", ""),      # sqrt(U), the diameter
+        (vertex, diam_end, "#008800", ""),      # sqrt(Z)
+        (origin, vertex, "#880088", ""),        # sqrt(U-Z)
+        (vertex, w, _DIPOLE_COLOR, ""),         # sqrt(R)
+        (origin, w, "#000000", ""),             # sqrt(S)
+        (origin, diam_end, "#0000cc", dashed),  # limit: zero resolution
+        (origin, vertex, "#880088", dashed),    # limit: perfect reliability
     ]
     for a, b, color, dash in segments:
-        (xa, ya), (xb, yb) = pt(a), pt(b)
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        out.append(
-            f'<line x1="{_fmt(xa)}" y1="{_fmt(ya)}" x2="{_fmt(xb)}" y2="{_fmt(yb)}" '
-            f'stroke="{color}" stroke-width="1.5"{dash_attr}/>'
-        )
+        out.append(_LINE % (*pt(a), *pt(b), color, "1.5", dash))
     label = (
         f"√S={decomp.sqrt_S:.3f} √U={decomp.sqrt_U:.3f} "
         f"√Z={decomp.sqrt_Z:.3f} √R={decomp.sqrt_R:.3f}"
     )
-    out.append(
-        f'<text x="{_fmt(x0)}" y="{_fmt(y0 + 16.0)}" font-family="sans-serif" '
-        f'font-size="11" fill="#000000">{label}</text>'
-    )
+    out.append(_TEXT % (x0, y0 + 16.0, label))
 
 
 def render_reliability_diagram(
@@ -397,20 +385,12 @@ def render_reliability_diagram(
         fx, fy = main_box.to_px(b.center)
         ox, oy = main_box.to_px(b.mean_obs)
         out.append("<g>")
-        out.append(
-            f'<line x1="{_fmt(fx)}" y1="{_fmt(fy)}" x2="{_fmt(ox)}" y2="{_fmt(oy)}" '
-            f'stroke="{_DIPOLE_COLOR}" stroke-width="1.5"/>'
-        )
-        out.append(f'<circle cx="{_fmt(fx)}" cy="{_fmt(fy)}" r="3.5" fill="#000000"/>')
-        out.append(
-            f'<circle cx="{_fmt(ox)}" cy="{_fmt(oy)}" r="3.5" fill="none" '
-            f'stroke="{_DIPOLE_COLOR}" stroke-width="1.5"/>'
-        )
+        out.append(_LINE % (fx, fy, ox, oy, _DIPOLE_COLOR, "1.5", ""))
+        out.append('<circle cx="%.4f" cy="%.4f" r="3.5" fill="#000000"/>' % (fx, fy))
+        out.append('<circle cx="%.4f" cy="%.4f" r="3.5" fill="none" stroke="%s" '
+                   'stroke-width="1.5"/>' % (ox, oy, _DIPOLE_COLOR))
         out.append("</g>")
     out.append("</g>")
-    out.append(
-        f'<text x="{_fmt(width - sharp_edge - 20.0)}" y="{_fmt(40.0 + sharp_edge * _SQRT3_2)}" '
-        f'font-family="sans-serif" font-size="11" fill="#000000">'
-        f"threshold ={config.dipole_threshold}</text>"
-    )
+    out.append(_TEXT % (width - sharp_edge - 20.0, 40.0 + sharp_edge * _SQRT3_2,
+                        f"threshold ={config.dipole_threshold}"))
     return _document(width, height, out)

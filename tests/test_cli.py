@@ -71,6 +71,11 @@ def fill_paths(args, dataset_path, tmp_path):
     return [a.format(**paths) for a in args]
 
 
+def assert_summary_bytes(result, summary):
+    """stdout is exactly ``summary`` in the one layout every command writes."""
+    assert result.stdout_bytes == (json.dumps(summary, indent=2) + "\n").encode()
+
+
 def run_json(runner, args, **kw):
     result = runner.invoke(main, args, **kw)
     assert result.exit_code == 0, result.output
@@ -350,6 +355,8 @@ class TestProject:
         out_path = tmp_path / "out.json"
         result = runner.invoke(main, ["project", "-i", str(src), "-o", str(out_path)])
         assert result.exit_code == 0, result.output
+        assert_summary_bytes(result, {"output": str(out_path), "n_records": 1,
+                                      "n_off_simplex": 0})
         ds = parse_json(out_path.read_bytes())
         assert ds.records[0].ternary.as_tuple() == pytest.approx(
             (1 / 3, 1 / 3, 1 / 3), abs=1e-9
@@ -529,6 +536,8 @@ class TestRenderCommands:
             "--show-skill-circles",
         ])
         assert result.exit_code == 0, result.output
+        assert_summary_bytes(result, {"output": str(out_path), "n_records": 240,
+                                      "n_drawn": 12})
         ET.parse(out_path)
         first = out_path.read_bytes()
         runner.invoke(main, ["render-map", "-i", dataset_csv, "-o", str(out_path),
@@ -603,8 +612,7 @@ class TestRenderCommands:
             "--threshold", "10",
         ])
         assert result.exit_code == 0, result.output
-        summary = json.loads(result.output)
-        assert summary["n_dipoles"] == 4
+        assert_summary_bytes(result, {"output": str(out_path), "n_bins": 60, "n_dipoles": 4})
         ET.parse(out_path)
 
         # every bin observes one category, so U - Z is 0 in real arithmetic;
@@ -629,6 +637,7 @@ class TestRenderCommands:
             "palette", "-o", str(out_path), "--q", "0.25,0.5,0.25", "--size", "8",
         ])
         assert result.exit_code == 0, result.output
+        assert_summary_bytes(result, {"output": str(out_path), "size": 8})
         svg = out_path.read_bytes()
         ET.fromstring(svg)
         assert svg.count(b"<polygon") == 64

@@ -186,6 +186,17 @@ class TestForecastMap:
         assert_well_formed(svg)
         assert svg.count(b"<polyline") == 2
 
+    def test_negative_zero_is_written_as_zero(self):
+        # margin 40 px, 64 px per degree of longitude: lon -0.6250001 lands
+        # at x = -6.4e-6 px, which "%.4f" writes as "-0.0000"
+        ds = Dataset(records=tuple(
+            ForecastRecord(lat=lat, lon=lon, ternary=UNIFORM)
+            for lat in (0.0, 10.0) for lon in (0.0, 10.0)
+        ))
+        svg = render_forecast_map(ds, overlay=[[(5.0, -0.6250001), (5.0, 5.0)]])
+        assert b'<polyline points="0.0000,280.0000 360.0000,280.0000"' in svg
+        assert b"-0.0000" not in svg
+
 
 class TestReliabilityDiagram:
     def make_inputs(self, rng, threshold=10):
