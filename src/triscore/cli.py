@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands wire ingestion, verification, recalibration and rendering
-together and always emit a machine-readable JSON summary on stdout.
+together.  Each writes one document, its artefact, to ``--output`` or to
+stdout, and prints its JSON summary on stdout unless the artefact went there.
 Exit codes: 0 on success, 2 on malformed input or a path that cannot be
 read or written, 3 on mathematically invalid values (domain errors).
 """
@@ -32,6 +33,7 @@ from .datasets import (
     check_lat_lon,
     json_floats,
     load_json,
+    make_climatology,
     pairs_from_dataset,
     parse_csv,
     parse_json,
@@ -43,7 +45,6 @@ from .datasets import (
 from .errors import DomainError, EmptyDataset, SchemaError
 from .recalibration import QuadraticMap, apply_map, fit_map, recalibration_report
 from .scoring import ScoringRule, brier_rule, rps_rule, score
-from .simplex import make_ternary
 from .svg import RenderConfig, render_forecast_map, render_palette_legend, render_reliability_diagram
 from .verification import BinnedStats, Decomposition, ForecastObsPair, bin_forecasts, decompose
 
@@ -87,17 +88,17 @@ def _read_pairs(path: str) -> list[ForecastObsPair]:
     return pairs
 
 
-def _write_bytes(path: str | None, data: bytes) -> None:
-    if path is None or path == "-":
-        sys.stdout.buffer.write(data)
-    else:
-        Path(path).write_bytes(data)
-
-
-def _emit_summary(summary: dict, output: str | None) -> None:
+def _finish(summary: dict, output: str | None, data: bytes | None = None) -> None:
+    """Write the command's artefact, ``data`` or else the summary, to
+    ``output`` (stdout if None or '-'); stdout carries the summary only
+    when the artefact went to a file."""
     text = json.dumps(summary, indent=2) + "\n"
     if output is not None and output != "-":
-        Path(output).write_text(text, encoding="utf-8")
+        Path(output).write_bytes(text.encode() if data is None else data)
+    elif data is not None:
+        sys.stdout.buffer.write(data)
+        return
+    # a text stream, which an in-process caller may swap for one without .buffer
     click.echo(text, nl=False)
 
 
@@ -192,13 +193,11 @@ def project(input_path, output_path, map_path, clip):
     with np.errstate(over="ignore", invalid="ignore"):
         records = resolve_records(dataset, resolve)
     out = Dataset(records=tuple(records), q=dataset.q, metadata=dataset.metadata)
-    _write_bytes(output_path, write_json(out))
-    if output_path not in (None, "-"):
-        _emit_summary({
-            "output": output_path,
-            "n_records": len(records),
-            "n_off_simplex": n_off,
-        }, None)
+    _finish({
+        "output": output_path,
+        "n_records": len(records),
+        "n_off_simplex": n_off,
+    }, output_path, write_json(out))
 
 
 @main.command(name="score")
@@ -210,8 +209,7 @@ def score_cmd(input_path, output_path, score_rule):
     pairs = _read_pairs(input_path)
     rule = _rule_by_name(score_rule)
     mean = sum(score(rule, p.forecast, p.obs.to_ternary()) for p in pairs) / len(pairs)
-    _emit_summary({"rule": score_rule, "mean_score": mean, "n_pairs": len(pairs)},
-                  output_path)
+    _finish({"rule": score_rule, "mean_score": mean, "n_pairs": len(pairs)}, output_path)
 
 
 @main.command()
@@ -228,7 +226,7 @@ def verify(input_path, output_path, score_rule, nbins):
     summary = _decomposition_summary(decomp, binned)
     summary["rule"] = score_rule
     summary["nbins"] = nbins
-    _emit_summary(summary, output_path)
+    _finish(summary, output_path)
 
 
 def _load_map(path: str) -> QuadraticMap:
@@ -274,12 +272,12 @@ def calibrate(input_path, output_path, score_rule, nbins, holdout):
         "before": _decomposition_summary(report.before, report.binned_before),
         "after": _decomposition_summary(report.after, report.binned_after),
     }
-    _emit_summary(summary, output_path)
+    _finish(summary, output_path)
 
 
 @main.command(name="render-map")
 @_input_opt
-@click.option("--output", "-o", "output_path", required=True, help="SVG output path.")
+@_output_opt
 @_score_opt
 @_nbins_opt
 @_m_opt
@@ -309,13 +307,12 @@ def render_map(input_path, output_path, score_rule, nbins, m, theta0, anchors,
     )
     overlay = _load_overlay(overlay_path) if overlay_path else None
     data = render_forecast_map(dataset, config, _rule_by_name(score_rule), overlay)
-    _write_bytes(output_path, data)
     drawn = data[:data.index(b'<g id="legend">')]
-    _emit_summary({
+    _finish({
         "output": output_path,
         "n_records": len(dataset.records),
         "n_drawn": drawn.count(b"<circle " if show_skill_circles else b"<rect "),
-    }, None)
+    }, output_path, data)
 
 
 def _load_overlay(path: str) -> list[list[tuple[float, float]]]:
@@ -338,7 +335,7 @@ def _load_overlay(path: str) -> list[list[tuple[float, float]]]:
 
 @main.command(name="render-reliability")
 @_input_opt
-@click.option("--output", "-o", "output_path", required=True, help="SVG output path.")
+@_output_opt
 @_score_opt
 @_nbins_opt
 @_threshold_opt
@@ -354,14 +351,13 @@ def render_reliability(input_path, output_path, score_rule, nbins, threshold, wi
     decomp = decompose(rule, binned)
     config = RenderConfig(width_px=width, height_px=height, dipole_threshold=threshold)
     data = render_reliability_diagram(binned, decomp, config)
-    _write_bytes(output_path, data)
     shown = int((binned.obs_counts.sum(axis=1) >= threshold).sum())
-    _emit_summary({"output": output_path, "n_bins": len(binned.keys),
-                   "n_dipoles": shown}, None)
+    _finish({"output": output_path, "n_bins": len(binned.keys), "n_dipoles": shown},
+            output_path, data)
 
 
 @main.command()
-@click.option("--output", "-o", "output_path", required=True, help="SVG output path.")
+@_output_opt
 @click.option("--q", "q_text", default="1/3,1/3,1/3", show_default=True,
               help="Climatology as three comma-separated values (fractions allowed).")
 @_m_opt
@@ -385,10 +381,9 @@ def palette(output_path, q_text, m, theta0, anchors, size):
                 vals.append(float(part))
         except (ValueError, ZeroDivisionError):
             raise SchemaError(f"invalid climatology component {part!r}") from None
-    q = make_ternary(*vals)
+    q = make_climatology(vals)
     data = render_palette_legend(q, _palette_from(m, theta0, anchors), size)
-    _write_bytes(output_path, data)
-    _emit_summary({"output": output_path, "size": size}, None)
+    _finish({"output": output_path, "size": size}, output_path, data)
 
 
 if __name__ == "__main__":

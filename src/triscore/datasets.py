@@ -453,6 +453,14 @@ def _json_array(value):
     return _INVALID if None in out else out
 
 
+def make_climatology(values, where: str | None = None) -> TernaryProb:
+    """The climatology q of three numbers; SchemaError if they are not one."""
+    try:
+        return make_ternary(*values)
+    except TriscoreError as e:
+        raise SchemaError(f"invalid climatology q: {e}", where) from None
+
+
 def parse_json(data: bytes) -> Dataset:
     """Parse a JSON dataset: {"q": [...], "metadata": {...}, "records": [...]}."""
     doc = load_json(_decode(data), "invalid JSON")
@@ -463,11 +471,7 @@ def parse_json(data: bytes) -> Dataset:
         qv = doc["q"]
         if not (isinstance(qv, list) and len(qv) == 3):
             raise SchemaError("q must be a 3-element array", "q")
-        q_values = json_floats(qv, "q", "q")
-        try:
-            q = make_ternary(*q_values)
-        except TriscoreError as e:
-            raise SchemaError(f"invalid climatology q: {e}", "q") from None
+        q = make_climatology(json_floats(qv, "q", "q"), "q")
     else:
         q = UNIFORM
 

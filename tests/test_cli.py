@@ -106,10 +106,18 @@ class TestVerify:
         rps = run_json(runner, ["verify", "-i", dataset_csv, "--score", "rps"])
         assert brier["S"] != rps["S"]
 
-    def test_writes_output_file(self, runner, dataset_csv, tmp_path):
+    @pytest.mark.parametrize("command, count", [
+        ("score", "n_pairs"), ("verify", "n_pairs"), ("calibrate", "n_eval"),
+    ], ids=["score", "verify", "calibrate"])
+    def test_writes_output_file(self, runner, dataset_csv, tmp_path, command, count):
+        # the summary is these commands' artefact: -o FILE holds what stdout prints
         out_path = tmp_path / "summary.json"
-        run_json(runner, ["verify", "-i", dataset_csv, "-o", str(out_path)])
-        assert json.loads(out_path.read_text())["n_pairs"] == 240
+        result = runner.invoke(main, [command, "-i", dataset_csv, "-o", str(out_path)])
+        assert result.exit_code == 0, result.output
+        summary = json.loads(out_path.read_bytes())
+        assert summary[count] == 240
+        assert out_path.read_bytes() == result.stdout_bytes
+        assert_summary_bytes(result, summary)
 
     def test_stdin_json(self, runner):
         data = write_json(frozen_dataset())
@@ -642,6 +650,28 @@ class TestRenderCommands:
         ET.fromstring(svg)
         assert svg.count(b"<polygon") == 64
 
+    @pytest.mark.parametrize("args", [
+        ["project", "-i", "{ds}"],
+        ["render-map", "-i", "{ds}"],
+        ["render-map", "-i", "{ds}", "--show-skill-circles"],
+        ["render-reliability", "-i", "{ds}"],
+        ["palette", "--size", "8"],
+    ], ids=["project", "render-map", "render-map-circles", "render-reliability", "palette"])
+    def test_stdout_is_one_document(self, runner, dataset_json, tmp_path, args):
+        # the artefact goes to -o FILE, or alone to stdout with -o - or no -o
+        args = fill_paths(args, dataset_json, tmp_path)
+        out_path = tmp_path / "out"
+        piped = [runner.invoke(main, args + output) for output in (["-o", "-"], [])]
+        filed = runner.invoke(main, args + ["-o", str(out_path)])
+        for result in (*piped, filed):
+            assert result.exit_code == 0, result.output
+        assert piped[0].stdout_bytes == piped[1].stdout_bytes == out_path.read_bytes()
+        assert json.loads(filed.stdout)["output"] == str(out_path)
+        if args[0] == "project":
+            json.loads(piped[0].stdout_bytes)
+        else:
+            ET.fromstring(piped[0].stdout_bytes)
+
     def test_palette_custom_anchors(self, runner, tmp_path):
         out_path = tmp_path / "pal.svg"
         anchors = json.dumps([[0, 0], [0.5, 0.5], [1, 1]])
@@ -679,3 +709,8 @@ class TestRenderCommands:
                                       "--q", "1/3,x,1/3"])
         assert_fails_cleanly(result, 2)
         assert "invalid climatology component 'x'" in result.stderr
+        # the rule and the message of a dataset's "q"
+        result = runner.invoke(main, ["palette", "-o", str(tmp_path / "x.svg"),
+                                      "--q", "0.5,0.5,0.5"])
+        assert_fails_cleanly(result, 2)
+        assert result.stderr == "error: invalid climatology q: probabilities sum to 1.5, not 1\n"
