@@ -5,9 +5,11 @@ together.  Each writes one document, its artefact, to ``--output`` or to
 stdout, and prints its JSON summary on stdout unless the artefact went there.
 Exit codes: 0 on success, 2 on malformed input or a path that cannot be
 read or written, 3 on mathematically invalid values (domain errors).
+Each run pauses the cyclic garbage collector: its records hold no cycles.
 """
 
 import codecs
+import gc
 import json
 import os
 import sys
@@ -59,6 +61,17 @@ def _fail(code: int, err: Exception) -> None:
 
 class _Group(click.Group):
     """The command group; maps package and file errors of every subcommand to exit codes."""
+
+    def main(self, *args, **kwargs):
+        # a command's JSON, records, pairs and arrays hold no reference cycles:
+        # at 10^4 records its 60-210 collections (10-29 ms) freed none of them
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return super().main(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
 
     def invoke(self, ctx):
         try:
@@ -340,9 +353,9 @@ def _load_overlay(path: str) -> list[list[tuple[float, float]]]:
 @_nbins_opt
 @_threshold_opt
 @click.option("--width", type=int, default=760, show_default=True,
-              help="SVG width in px; a width below 600 is drawn as 600.")
+              help="SVG width in px; a positive width below 600 is drawn as 600.")
 @click.option("--height", type=int, default=700, show_default=True,
-              help="SVG height in px; a height below 600 is drawn as 600.")
+              help="SVG height in px; a positive height below 600 is drawn as 600.")
 def render_reliability(input_path, output_path, score_rule, nbins, threshold, width, height):
     """Render the ternary reliability diagram as SVG."""
     pairs = _read_pairs(input_path)

@@ -485,8 +485,9 @@ def parse_json(data: bytes) -> Dataset:
     # a record that is not an object decodes as one without lat
     objects = [rec if type(rec) is dict else {} for rec in records]
 
-    fields = {}  # the keys some record holds
-    for key in (*_NUMBER_FIELDS, "obs", "members", "series"):
+    held = set().union(*objects)
+    fields = {}  # the keys some record holds, not only as null
+    for key in filter(held.__contains__, (*_NUMBER_FIELDS, "obs", "members", "series")):
         values = list(map(dict.get, objects, repeat(key)))
         if values.count(None) == len(values):
             continue

@@ -14,12 +14,13 @@ Pythagoras' theorem in a decomposition diagram.
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import EmptyDataset, InvalidDecomposition
 from .scoring import ScoringRule, uncertainty
-from .simplex import ObsCategory, TernaryProb, make_ternary
+from .simplex import _INDEX, ObsCategory, TernaryProb, make_ternary
 
 _IDENTITY_GUARD = 1e-10  # rounding allowance of S = U - Z + R and of U >= Z
 
@@ -72,9 +73,9 @@ class BinnedStats:
 
 def _pair_arrays(pairs: list[ForecastObsPair]) -> tuple[np.ndarray, np.ndarray]:
     """The forecasts as an (N, 3) array and the observed category indices."""
-    F = np.array([pair.forecast.as_tuple() for pair in pairs])
-    obs = np.array([pair.obs.index for pair in pairs])
-    return F, obs
+    F = np.array(list(map(attrgetter("pB", "pN", "pA"), map(attrgetter("forecast"), pairs))))
+    labels = map(attrgetter("_value_"), map(attrgetter("obs"), pairs))
+    return F, np.fromiter(map(_INDEX.__getitem__, labels), np.int64, len(pairs))
 
 
 def _snap(F: np.ndarray, nbins: int) -> np.ndarray:

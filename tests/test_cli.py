@@ -1,5 +1,9 @@
 import codecs
+import gc
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -308,6 +312,50 @@ class TestExitCodes:
         with pytest.raises(InvalidDecomposition):
             _decomposition_summary(
                 broken, BinnedStats(np.zeros((0, 3), int), np.zeros((0, 3), int), 11))
+
+
+class TestCollectorPause:
+    """Each run pauses the cyclic collector and gives the caller's setting back."""
+
+    @pytest.fixture
+    def collections(self):
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+        gc.callbacks.append(count)
+        yield started
+        gc.callbacks.remove(count)
+
+    def test_no_collection_during_a_command(self, runner, dataset_json, collections):
+        out = run_json(runner, ["score", "-i", dataset_json])
+        assert out["n_pairs"] == 240
+        assert collections == []
+
+    @pytest.mark.parametrize("args, code", [
+        (["score", "-i", "{ds}"], 0),
+        (["score", "-i", "{deep}"], 2),
+        (["verify", "-i", "{ds}", "--nbins", "0"], 3),
+        (["--help"], 0),
+    ], ids=["exit-0", "schema-error", "domain-error", "help"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_caller_setting_restored(self, runner, dataset_json, tmp_path, args, code, enabled):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            result = runner.invoke(main, fill_paths(args, dataset_json, tmp_path))
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert result.exit_code == code, result.output
+
+    def test_import_leaves_collector_on(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import gc, triscore.cli; print(gc.isenabled())"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=False)
+        assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
 
 
 class TestCalibrate:

@@ -664,7 +664,17 @@ class TestColumnChecks:
         b'{"records": [{"lat": 0, "lon": 0, "pB": 1, "pN": 0, "pA": 0}, 5, []]}',
         b'{"records": [{"lat": 0, "lon": 0, "pB": NaN, "pN": 0, "pA": 1}]}',
         b'{"records": [{"lat": 0, "lon": 0, "pB": Infinity, "pN": 0, "pA": 1}]}',
-    ], ids=["empty", "non-object", "nan-literal", "infinity-literal"])
+        # the column pass skips the keys no record holds: a key held only as
+        # null, or only by the last record, comes out as before
+        json.dumps({"records": [{"lat": 0, "lon": k, "pB": 0.5, "pN": 0.25, "pA": 0.25,
+                                 "obs": None} for k in range(3)]}).encode(),
+        json.dumps({"records": [{"lat": 0, "lon": k % 180, "mu": 0.5, "sigma": 1, "mu_c": 0,
+                                 "sigma_c": 2, **({"obs_value": 1.5} if k == 299 else {})}
+                                for k in range(300)]}).encode(),
+        b'{"records": [{"lat": 0, "lon": 0, "pB": 1, "pN": 0, "pA": 0, "obs": "B"}, "B",'
+        b' {"lat": 1, "lon": 2, "pB": 0.5, "pN": 0.5, "pA": 0}]}',
+    ], ids=["empty", "non-object", "nan-literal", "infinity-literal", "obs-held-only-as-null",
+            "obs-value-only-in-last-of-300", "non-object-among-objects"])
     def test_json_documents(self, data):
         assert outcome(parse_json, data) == outcome(parse_json_reference, data)
 

@@ -24,6 +24,8 @@ from triscore import (
     snap_to_lattice,
 )
 from triscore.errors import EmptyDataset, InvalidDecomposition
+from triscore.simplex import SUM_TOLERANCE
+from triscore.verification import _pair_arrays
 
 from conftest import CATS, categorical_pairs, random_pd_rules
 
@@ -32,6 +34,13 @@ B, N, A = ObsCategory.B, ObsCategory.N, ObsCategory.A
 
 def pair(p, obs):
     return ForecastObsPair(make_ternary(*p), obs)
+
+
+def pair_arrays_reference(pairs):
+    """Per-pair comprehensions: the reference for _pair_arrays."""
+    F = np.array([pair.forecast.as_tuple() for pair in pairs])
+    obs = np.array([pair.obs.index for pair in pairs])
+    return F, obs
 
 
 def snap_reference(p, nbins):
@@ -221,6 +230,29 @@ class TestArrayMatchesReference:
             d = decompose(rule, binned)
             want = decompose_reference(rule, binned)
             assert np.max(np.abs(np.array([d.S, d.U, d.Z, d.R]) - want)) <= 1e-12
+
+
+# forecasts as make_ternary issues them: from raw triples with signed
+# zeros (returned as +0.0) and with sums off one by up to half its
+# tolerance (renormalised beyond a few ulp)
+_issued = st.tuples(
+    st.tuples(*[st.one_of(st.just(-0.0), st.just(0.0), st.floats(0.0, 1.0))] * 3)
+    .filter(lambda w: sum(w) > 0.0),
+    st.floats(-SUM_TOLERANCE / 2, SUM_TOLERANCE / 2),
+).map(lambda c: make_ternary(*(x / sum(c[0]) * (1.0 + c[1]) for x in c[0])))
+
+
+class TestPairArrays:
+    # 200 examples of up to 40 pairs: signed zeros, renormalised sums and
+    # plain points meet each category in many orders, in under a second
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_issued, st.sampled_from(CATS)), min_size=1, max_size=40))
+    def test_matches_reference(self, rows):
+        pairs = [ForecastObsPair(p, obs) for p, obs in rows]
+        F, obs = _pair_arrays(pairs)
+        F_ref, obs_ref = pair_arrays_reference(pairs)
+        assert F.shape == F_ref.shape and F.tobytes() == F_ref.tobytes()
+        assert obs.dtype == np.int64 and obs.tolist() == obs_ref.tolist()
 
 
 @st.composite
