@@ -57,6 +57,8 @@ class RenderConfig:
             raise DomainError("render sizes and circle scale must be finite and positive")
         if self.dipole_threshold < 0:
             raise DomainError("dipole threshold must be >= 0")
+        if self.min_pairs_for_circle < 0:
+            raise DomainError("minimum pairs for a skill circle must be >= 0")
 
 
 # one template per element kind written in more than one place

@@ -1,5 +1,6 @@
 import codecs
 import gc
+import importlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from triscore import UNIFORM, BinnedStats, Decomposition, parse_json, write_json
-from triscore.cli import _decomposition_summary, main
+from triscore.cli import _decomposition_summary, main, run
 from triscore.errors import InvalidDecomposition
 
 from conftest import frozen_dataset
@@ -206,6 +207,7 @@ class TestExitCodes:
         ["render-map", "--height", "-1"],
         ["render-map", "--cell-size", "0"],
         ["render-reliability", "--threshold", "-1"],
+        ["render-map", "--min-pairs", "-1", "--show-skill-circles"],
         ["render-map", "--cell-size", "nan"],
         ["render-map", "--circle-scale", "-1", "--show-skill-circles"],
         ["render-map", "--circle-scale", "nan"],
@@ -221,11 +223,11 @@ class TestExitCodes:
         ["render-reliability", "--width", str(10**400)],
         ["render-reliability", "--height", str(10**400)],
         ["render-map", "--circle-scale", "1e308", "--show-skill-circles"],
-    ], ids=["width", "height", "cell-size", "threshold", "cell-size-nan", "circle-scale-neg",
-            "circle-scale-nan", "m-nan", "nbins-501", "nbins-2^31", "cell-size-200",
-            "cell-size-1e308", "cell-size-height", "cell-size-width", "map-width-10^400",
-            "map-height-10^400", "reliability-width-10^400", "reliability-height-10^400",
-            "circle-radius-inf"])
+    ], ids=["width", "height", "cell-size", "threshold", "min-pairs", "cell-size-nan",
+            "circle-scale-neg", "circle-scale-nan", "m-nan", "nbins-501", "nbins-2^31",
+            "cell-size-200", "cell-size-1e308", "cell-size-height", "cell-size-width",
+            "map-width-10^400", "map-height-10^400", "reliability-width-10^400",
+            "reliability-height-10^400", "circle-radius-inf"])
     def test_bad_render_size_is_3(self, runner, dataset_json, tmp_path, args):
         result = runner.invoke(main, [*args, "-i", dataset_json, "-o", str(tmp_path / "x.svg")])
         assert_fails_cleanly(result, 3)
@@ -348,14 +350,51 @@ class TestCollectorPause:
         finally:
             gc.enable()
         assert result.exit_code == code, result.output
+        # only a process's own exit freezes the heap, never an in-process caller's
+        assert gc.get_freeze_count() == 0
 
     def test_import_leaves_collector_on(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import gc, triscore.cli; print(gc.isenabled())"],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=False)
-        assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
+        proc = run_fresh("import gc, triscore.cli; print(gc.isenabled(), gc.get_freeze_count())")
+        assert (proc.returncode, proc.stdout) == (0, "True 0\n"), proc.stderr
+
+
+def run_fresh(code, *args):
+    """``python -c CODE ARGS`` in a fresh interpreter with triscore importable."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=False)
+
+
+class TestProcessExit:
+    """A ``triscore`` process ends through ``run``, which freezes the heap."""
+
+    # the hook runs after run() has returned or raised, before the interpreter's
+    # exit-time collection; the module runs as ``python -m triscore.cli`` does
+    REPORT_FROZEN = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(f'frozen={gc.get_freeze_count() > 0}', file=sys.stderr))\n"
+        "runpy.run_module('triscore.cli', run_name='__main__', alter_sys=True)\n")
+
+    @pytest.mark.parametrize("args, code", [
+        (["--help"], 0),
+        (["score", "-i", "{ds}"], 0),
+        (["score", "-i", "{deep}"], 2),
+        (["verify", "-i", "{ds}", "--nbins", "0"], 3),
+    ], ids=["help", "exit-0", "schema-error", "domain-error"])
+    def test_process_ends_frozen(self, dataset_json, tmp_path, args, code):
+        proc = run_fresh(self.REPORT_FROZEN, *fill_paths(args, dataset_json, tmp_path))
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "frozen=True", proc.stderr
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+    def test_installed_command_is_run(self):
+        import tomllib
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        module, _, name = target["triscore"].partition(":")
+        assert getattr(importlib.import_module(module), name) is run
 
 
 class TestCalibrate:
