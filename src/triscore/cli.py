@@ -40,12 +40,10 @@ from .datasets import (
     pairs_from_dataset,
     parse_csv,
     parse_json,
-    resolve_observation,
-    resolve_records,
-    resolve_ternary,
+    resolve_dataset,
     write_json,
 )
-from .errors import DomainError, EmptyDataset, SchemaError
+from .errors import DomainError, EmptyDataset, SchemaError, TriscoreError
 from .recalibration import QuadraticMap, apply_map, fit_map, recalibration_report
 from .scoring import ScoringRule, brier_rule, rps_rule, score
 from .svg import RenderConfig, render_forecast_map, render_palette_legend, render_reliability_diagram
@@ -189,24 +187,22 @@ def project(input_path, output_path, map_path, clip):
     dataset = _read_dataset(input_path)
     mapping = _load_map(map_path) if map_path else None
     n_off = 0
-
-    def resolve(rec, q):
-        nonlocal n_off
-        p = resolve_ternary(rec, q)
-        obs = resolve_observation(rec, q)
-        if mapping is not None:
-            res = apply_map(mapping, p, clip=clip)
-            if not res.on_simplex:
-                n_off += 1
-            # unclipped off-simplex values fail here as a domain error
-            p = res.to_ternary()
-        # resolved from a valid record, so valid too
-        return _valid_record(rec.lat, rec.lon, p, None, None, obs, None, None)
-
     # an overflowing map gives a non-finite value, which fails as a domain error
     with np.errstate(over="ignore", invalid="ignore"):
-        records = resolve_records(dataset, resolve)
-    out = Dataset(records=tuple(records), q=dataset.q, metadata=dataset.metadata)
+        forecasts, obs = resolve_dataset(dataset)
+        if mapping is not None:
+            try:
+                for i, p in enumerate(forecasts):
+                    res = apply_map(mapping, p, clip=clip)
+                    n_off += not res.on_simplex
+                    # unclipped off-simplex values fail here as a domain error
+                    forecasts[i] = res.to_ternary()
+            except TriscoreError as e:
+                raise type(e)(f"records[{i}]: {e}") from None
+    # resolved from valid records, so valid too
+    records = tuple(_valid_record(r.lat, r.lon, p, None, None, o, None, None)
+                    for r, p, o in zip(dataset.records, forecasts, obs))
+    out = Dataset(records=records, q=dataset.q, metadata=dataset.metadata)
     _finish({
         "output": output_path,
         "n_records": len(records),

@@ -108,6 +108,9 @@ def _positive_climatology(q: TernaryProb) -> tuple[float, float, float]:
     qs = q.as_tuple()
     if min(qs) <= 0.0:
         raise DegenerateClimatology(f"climatology {qs} has a non-positive component")
+    # the gain's scale is 1 / log(1 / min(q)), and 1 / min(q) overflows below 5.6e-309
+    if not math.isfinite(1.0 / min(qs)):
+        raise DegenerateClimatology(f"climatology {qs} has a component too small to invert")
     return qs
 
 

@@ -147,30 +147,33 @@ def resolve_observation(record: ForecastRecord, q: TernaryProb) -> ObsCategory |
     return _record_thresholds(record, q).categorise(record.obs_value)
 
 
-def resolve_records(dataset: Dataset, resolve) -> list:
-    """``resolve(record, dataset.q)`` for every record, in order.
+def resolve_dataset(
+    dataset: Dataset, *, observations: bool = True, observed_only: bool = False
+) -> tuple[list[TernaryProb | None], list[ObsCategory | None]]:
+    """Each record's forecast and observation under ``dataset.q``, in order.
 
-    An error raised for a record is re-raised with the same type,
-    prefixed with the record's location ``records[i]``.
+    A record's observation is resolved first.  With ``observations=False``
+    none is resolved, and every observation is None; with
+    ``observed_only`` the forecast of an unobserved record is not
+    resolved, and is None.  An error raised for a record is re-raised
+    with the same type, prefixed with the record's location ``records[i]``.
     """
-    out = []
+    q = dataset.q
+    forecasts, obs = [], []
     try:
         for i, rec in enumerate(dataset.records):
-            out.append(resolve(rec, dataset.q))
+            o = resolve_observation(rec, q) if observations else None
+            obs.append(o)
+            forecasts.append(None if observed_only and o is None else resolve_ternary(rec, q))
     except TriscoreError as e:
         raise type(e)(f"records[{i}]: {e}") from None
-    return out
-
-
-def _observed_pair(record: ForecastRecord, q: TernaryProb) -> ForecastObsPair | None:
-    # the forecast of an unobserved record is never resolved
-    obs = resolve_observation(record, q)
-    return None if obs is None else ForecastObsPair(resolve_ternary(record, q), obs)
+    return forecasts, obs
 
 
 def pairs_from_dataset(dataset: Dataset) -> list[ForecastObsPair]:
     """Forecast-observation pairs of all observed records, in order."""
-    return [p for p in resolve_records(dataset, _observed_pair) if p is not None]
+    return [ForecastObsPair(p, o)
+            for p, o in zip(*resolve_dataset(dataset, observed_only=True)) if o is not None]
 
 
 def _build_record(

@@ -16,7 +16,7 @@ from itertools import islice
 import numpy as np
 
 from .colors import PaletteParams, assign_color, hex_colors, hsv_to_rgb
-from .datasets import Dataset, resolve_observation, resolve_records, resolve_ternary
+from .datasets import Dataset, resolve_dataset
 from .errors import DomainError, MissingVerificationHistory
 from .scoring import ScoringRule, brier_rule
 from .simplex import TernaryProb, make_ternary
@@ -239,21 +239,18 @@ def render_forecast_map(
     locs = np.array([(r.lat, r.lon) for r in dataset.records], dtype=float)
     xs, ys = _geo_projection(locs, locs, config)
 
+    forecasts, observations = resolve_dataset(dataset, observations=config.show_skill_circles)
+    F = np.array([p.as_tuple() for p in forecasts])
+
     out: list[str] = []
     if config.show_skill_circles:
-        def resolve(rec, q):
-            # the observation first, so that its error is the one reported
-            obs = resolve_observation(rec, q)
-            return -1 if obs is None else obs.index, resolve_ternary(rec, q).as_tuple()
-
-        obs, F = map(np.array, zip(*resolve_records(dataset, resolve)))
+        obs = np.array([-1 if o is None else o.index for o in observations])
         skill = _skill_by_record(locs, obs, F, config, rule)
         colors = hex_colors(F, dataset.q, config.palette)
         for x, y, s, color in zip(xs.tolist(), ys.tolist(), skill.tolist(), colors):
             if s > 0.0:  # no circle for NaN skill
                 out.append(_CIRCLE % (x, y, circle_max * s, color))
     else:
-        F = np.array([p.as_tuple() for p in resolve_records(dataset, resolve_ternary)])
         half = config.cell_size_px / 2.0
         side = "%.4f" % config.cell_size_px
         rect = f'<rect x="%.4f" y="%.4f" width="{side}" height="{side}" fill="%s"/>'

@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from triscore import UNIFORM, BinnedStats, Decomposition, parse_json, write_json
+from triscore import (
+    UNIFORM,
+    BinnedStats,
+    Dataset,
+    Decomposition,
+    make_ternary,
+    parse_json,
+    write_json,
+)
 from triscore.cli import _decomposition_summary, main, run
 from triscore.errors import InvalidDecomposition
 
@@ -568,6 +576,36 @@ class TestProject:
         assert result.exit_code == 3
         assert "records[0]" in result.output
 
+    def test_resolve_error_comes_before_map_error(self, runner, tmp_path):
+        # every record is resolved before the map applies to any: record 0
+        # would fail only the map, record 1 fails its resolution
+        src, coeffs = tmp_path / "ds.json", tmp_path / "big.json"
+        src.write_text(json.dumps({"records": [
+            {"lat": 0, "lon": 0, "pB": 0.2, "pN": 0.3, "pA": 0.5, "obs": "B"},
+            {"lat": 0, "lon": 1, "mu": 1e308, "sigma": 1, "mu_c": -1e308, "sigma_c": 1},
+        ]}))
+        coeffs.write_text(json.dumps([1e308] * 12))
+        result = runner.invoke(main, ["project", "-i", str(src), "--apply-map", str(coeffs),
+                                      "--clip", "-o", str(tmp_path / "out.json")])
+        assert_fails_cleanly(result, 3)
+        assert result.stderr == "error: records[1]: scaled parameters must be finite\n"
+
+    def test_observation_error_comes_before_forecast_error(self, runner, tmp_path):
+        # the forecast's scaled parameters overflow and the observation has no
+        # thresholds under q; every command resolves the observation first
+        src = tmp_path / "ds.json"
+        src.write_text(json.dumps({"q": [0, 0.5, 0.5], "records": [
+            {"lat": 0, "lon": 0, "mu": 1e308, "sigma": 1, "mu_c": -1e308, "sigma_c": 1,
+             "obs_value": 0.5},
+        ]}))
+        out = str(tmp_path / "out")
+        for args in (["project", "-o", out], ["score"],
+                     ["render-map", "-o", out, "--show-skill-circles"]):
+            result = runner.invoke(main, [*args, "-i", str(src)])
+            assert_fails_cleanly(result, 3)
+            assert result.stderr == ("error: records[0]: climatology (0.0, 0.5, 0.5) "
+                                     "leaves no interior thresholds\n")
+
 
 class TestScoreCommand:
     def test_unobserved_ensemble_without_series_is_skipped(self, runner, tmp_path):
@@ -650,6 +688,36 @@ class TestRenderCommands:
         result = runner.invoke(main, ["render-map", "-i", str(src), "-o", str(out_path)])
         assert result.exit_code == 0, result.output
         assert out_path.read_bytes().count(b"<rect ") == 1
+
+    @pytest.mark.parametrize("circles", [False, True], ids=["cells", "circles"])
+    def test_render_map_needs_every_forecast(self, runner, tmp_path, circles):
+        # score skips the unobserved ensemble without series; a map draws it
+        src = tmp_path / "ds.json"
+        src.write_text(json.dumps({"records": [
+            {"lat": 0, "lon": 0, "pB": 1, "pN": 0, "pA": 0, "obs": "B"},
+            {"lat": 0, "lon": 1, "members": [1.0, 2.0, 3.0]},
+        ]}))
+        args = ["render-map", "-i", str(src), "-o", str(tmp_path / "map.svg")]
+        result = runner.invoke(main, args + ["--show-skill-circles"] * circles)
+        assert_fails_cleanly(result, 3)
+        assert result.stderr == ("error: records[1]: record needs a climatology series "
+                                 "to place thresholds\n")
+
+    @pytest.mark.parametrize("args", [
+        ["render-map", "-i", "{ds}"],
+        ["render-map", "-i", "{ds}", "--show-skill-circles"],
+        ["palette", "--q", "5e-324,0.5,0.5"],
+    ], ids=["render-map", "render-map-circles", "palette"])
+    def test_subnormal_climatology_is_3(self, runner, tmp_path, args):
+        # 1 / 5e-324 overflows, so the saturation's scale 1 / log(1 / min q) is undefined
+        ds = tmp_path / "ds.json"
+        ds.write_bytes(write_json(Dataset(records=frozen_dataset().records,
+                                          q=make_ternary(5e-324, 0.5, 0.5))))
+        result = runner.invoke(main, fill_paths(args, str(ds), tmp_path)
+                               + ["-o", str(tmp_path / "x.svg")])
+        assert_fails_cleanly(result, 3)
+        assert result.stderr == ("error: climatology (5e-324, 0.5, 0.5) has a component "
+                                 "too small to invert\n")
 
     def test_render_map_with_overlay(self, runner, dataset_csv, tmp_path):
         overlay = tmp_path / "coast.json"
@@ -801,3 +869,90 @@ class TestRenderCommands:
                                       "--q", "0.5,0.5,0.5"])
         assert_fails_cleanly(result, 2)
         assert result.stderr == "error: invalid climatology q: probabilities sum to 1.5, not 1\n"
+
+
+def mixed_records():
+    """27 records: a triple, a Gaussian and an ensemble forecast, each
+    observed by label, observed by value and unobserved, three times."""
+    series = [float(v) for v in range(1, 31)]
+    records = []
+    for k in range(3):
+        forecasts = [
+            {"pB": 0.2 + 0.1 * k, "pN": 0.5 - 0.1 * k, "pA": 0.3, "series": series},
+            {"mu": 4.0 + k, "sigma": 2.0, "mu_c": 5.0, "sigma_c": 2.0},
+            {"members": [5.0 + 6.0 * k + j for j in range(5)], "series": series},
+        ]
+        for forecast in forecasts:
+            for observed in ({"obs": "BNA"[k]}, {"obs_value": 2.0 + 10.0 * k}, {}):
+                records.append({"lat": 0.0, "lon": float(len(records)), **forecast, **observed})
+    return records
+
+
+class TestResolveCalls:
+    """How often each command resolves a forecast and an observation."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # counted wherever a loaded triscore module binds the two functions,
+        # as the benchmark's tracer catches them
+        import triscore.datasets as datasets
+
+        counts = {}
+        modules = [m for name, m in list(sys.modules.items())
+                   if name == "triscore" or name.startswith("triscore.")]
+        for name in ("resolve_ternary", "resolve_observation"):
+            original = getattr(datasets, name)
+            counts[name] = 0
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        return counts
+
+    # 27 records, 18 of them observed
+    @pytest.mark.parametrize("args, forecasts, observations", [
+        (["score"], 18, 27),
+        (["verify"], 18, 27),
+        (["calibrate"], 18, 27),
+        (["render-reliability", "-o", "{out}"], 18, 27),
+        (["render-map", "-o", "{out}"], 27, 0),
+        (["render-map", "-o", "{out}", "--show-skill-circles"], 27, 27),
+        (["project", "-o", "{out}"], 27, 27),
+        (["project", "-o", "{out}", "--apply-map", "{map}"], 27, 27),
+    ], ids=["score", "verify", "calibrate", "render-reliability", "render-map",
+            "render-map-circles", "project", "project-map"])
+    def test_resolve_calls(self, runner, tmp_path, calls, args, forecasts, observations):
+        src, coeffs = tmp_path / "mixed.json", tmp_path / "map.json"
+        src.write_text(json.dumps({"records": mixed_records()}))
+        coeffs.write_text(json.dumps([0.05, 0.9, 0, 0, 0, 0, 0.05, 0, 0.9, 0, 0, 0]))
+        paths = {"out": str(tmp_path / "out"), "map": str(coeffs)}
+        result = runner.invoke(main, [*(a.format(**paths) for a in args), "-i", str(src)])
+        assert result.exit_code == 0, result.output
+        assert calls == {"resolve_ternary": forecasts, "resolve_observation": observations}
+
+
+class TestProjectKeepsVerification:
+    """Verifying project's output prints, byte for byte, what verifying its input prints."""
+
+    @pytest.mark.parametrize("source", ["frozen", "mixed"])
+    def test_projected_verifies_alike(self, runner, tmp_path, source):
+        src = tmp_path / "in.json"
+        if source == "frozen":
+            src.write_bytes(write_json(frozen_dataset()))
+        else:
+            src.write_text(json.dumps({"records": mixed_records()}))
+        projected = tmp_path / "projected.json"
+        result = runner.invoke(main, ["project", "-i", str(src), "-o", str(projected)])
+        assert result.exit_code == 0, result.output
+        for args in (["score"], ["verify", "--score", "brier"],
+                     ["verify", "--score", "rps", "--nbins", "5"],
+                     ["calibrate", "--holdout", "0"], ["render-reliability"]):
+            before, after = (runner.invoke(main, [*args, "-i", str(path)])
+                             for path in (src, projected))
+            assert before.exit_code == after.exit_code == 0, (args, before.output)
+            assert after.stdout_bytes == before.stdout_bytes, args

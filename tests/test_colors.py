@@ -62,6 +62,9 @@ class TestInformationGain:
     def test_rejects_degenerate_climatology(self):
         with pytest.raises(DegenerateClimatology):
             information_gain(UNIFORM, make_ternary(0.5, 0.5, 0.0))
+        # 1 / 5e-324 overflows
+        with pytest.raises(DegenerateClimatology):
+            information_gain(UNIFORM, make_ternary(5e-324, 0.5, 0.5))
 
 
 class TestDominantCategory:
@@ -333,3 +336,5 @@ class TestBatchColors:
     def test_rejects_degenerate_climatology(self):
         with pytest.raises(DegenerateClimatology):
             hex_colors(np.array([UNIFORM.as_tuple()]), make_ternary(0.5, 0.5, 0.0))
+        with pytest.raises(DegenerateClimatology):
+            hex_colors(np.array([UNIFORM.as_tuple()]), make_ternary(5e-324, 0.5, 0.5))
