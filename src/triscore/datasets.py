@@ -14,6 +14,7 @@ one of B/N/A, case-insensitive) or a raw value (``obs_value``)
 categorised against the record's thresholds.
 """
 
+import codecs
 import csv
 import io
 import json
@@ -248,12 +249,51 @@ def _decode(data: bytes) -> str:
         raise SchemaError(f"input is not UTF-8: {e}") from None
 
 
+_MAX_SHALLOW_DEPTH = 64
+# every byte but the quote and the four brackets, for bytes.translate to delete
+_NOT_MARKS = bytes(sorted(set(range(256)) - set(b'"[]{}')))
+_DEPTH_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")  # +1 and -1 as int8
+
+
+def _shallow(raw: bytes) -> bool:
+    """Whether a UTF-8 document has no backslash, no bracket inside a
+    string and no more than 64 nested levels: one that orjson decodes to
+    the values ``json.loads`` gives (an integer beyond 64 bits as a
+    float), and cannot overflow its stack on."""
+    if b"\\" in raw:
+        return False
+    # with no escapes every quote delimits a string, so a string holds a
+    # bracket exactly when its two quotes are not adjacent here
+    marks = raw.translate(None, _NOT_MARKS).replace(b'""', b"")
+    if b'"' in marks:
+        return False
+    depth = np.frombuffer(marks.translate(_DEPTH_STEPS), dtype=np.int8).cumsum()
+    return depth.size == 0 or int(depth.max()) <= _MAX_SHALLOW_DEPTH
+
+
 def load_json(data: str | bytes, what: str):
     """Decode a JSON document; any failure is a SchemaError "<what>: <reason>".
 
     Bytes must be UTF-8, after at most one leading byte-order mark.
     Nesting too deep for the decoder's recursion is one such failure.
+    A shallow document (see ``_shallow``) is decoded by orjson; every
+    other one, and every one orjson rejects, by ``json.loads``, so each
+    message is the standard decoder's.
     """
+    try:
+        shallow = _shallow(data if isinstance(data, bytes) else data.encode("utf-8"))
+    except UnicodeEncodeError:  # a str with a lone surrogate
+        shallow = False
+    if shallow:
+        import orjson  # here, not at import: it loads zoneinfo
+
+        body = data
+        if isinstance(data, bytes) and data.startswith(codecs.BOM_UTF8):
+            body = memoryview(data)[len(codecs.BOM_UTF8):]  # not a copy of the input
+        try:
+            return orjson.loads(body)
+        except orjson.JSONDecodeError:
+            pass
     try:
         return json.loads(data.decode("utf-8-sig") if isinstance(data, bytes) else data)
     except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
@@ -466,7 +506,11 @@ def make_climatology(values, where: str | None = None) -> TernaryProb:
 
 def parse_json(data: bytes) -> Dataset:
     """Parse a JSON dataset: {"q": [...], "metadata": {...}, "records": [...]}."""
-    doc = load_json(_decode(data), "invalid JSON")
+    try:
+        doc = load_json(data, "invalid JSON")
+    except SchemaError:
+        _decode(data)  # bytes that are not UTF-8 are named as such
+        raise
     if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
         raise SchemaError("top level must be an object with a 'records' array")
 

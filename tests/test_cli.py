@@ -405,6 +405,60 @@ class TestProcessExit:
         assert getattr(importlib.import_module(module), name) is run
 
 
+class TestJsonDecoding:
+    """Each JSON input is decoded by orjson or by the standard decoder, and
+    reads the same either way."""
+
+    @pytest.mark.parametrize("args, content, stderr", [
+        (["score", "-i", "{side}"], b'{"metadata": {"a": "\xff"}, "records": []}',
+         "error: input is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 20: "
+         "invalid start byte\n"),
+        (["score", "-i", "{side}"], codecs.BOM_UTF8 * 2 + b'{"records": []}',
+         "error: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+         "line 1 column 1 (char 0)\n"),
+        (["project", "-i", "{ds}", "-o", "{out}", "--apply-map", "{side}"], b'[0, 1, "\xff"]',
+         "error: invalid coefficients file: 'utf-8' codec can't decode byte 0xff in "
+         "position 8: invalid start byte\n"),
+    ], ids=["dataset-not-utf8", "dataset-two-boms", "coefficients-not-utf8"])
+    def test_utf8_messages(self, runner, dataset_json, tmp_path, args, content, stderr):
+        side = tmp_path / "side.json"
+        side.write_bytes(content)
+        paths = {"ds": dataset_json, "side": str(side), "out": str(tmp_path / "out")}
+        result = runner.invoke(main, [a.format(**paths) for a in args])
+        assert_fails_cleanly(result, 2)
+        assert result.stderr == stderr
+
+    # valid documents deep enough that orjson 3.8 crashes the process on them
+    @pytest.mark.parametrize("doc", [
+        '{"a": ' * 100_000 + "0" + "}" * 100_000,
+        "[" * 1_000_000 + "]" * 1_000_000,
+    ], ids=["objects-1e5", "arrays-1e6"])
+    @pytest.mark.parametrize("args, prefix", [
+        (["score", "-i", "{deep}"], "invalid JSON"),
+        (["project", "-i", "{ds}", "-o", "{out}", "--apply-map", "{deep}"],
+         "invalid coefficients file"),
+    ], ids=["input", "apply-map"])
+    def test_deep_document_is_one_error_line(self, dataset_json, tmp_path, doc, args, prefix):
+        deep = tmp_path / "deep.json"
+        deep.write_text(doc)
+        paths = {"ds": dataset_json, "deep": str(deep), "out": str(tmp_path / "out")}
+        # in a child, so that a crash shows as a signal, not as the test run's end
+        proc = run_fresh("import runpy\n"
+                         "runpy.run_module('triscore.cli', run_name='__main__', alter_sys=True)\n",
+                         *(a.format(**paths) for a in args))
+        assert proc.returncode == 2, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"error: {prefix}: "), proc.stderr
+
+    def test_help_loads_no_json_extension(self):
+        proc = run_fresh(
+            "import atexit, runpy, sys\n"
+            "atexit.register(lambda: print(sorted({'orjson', 'zoneinfo'} & set(sys.modules)),\n"
+            "                               file=sys.stderr))\n"
+            "runpy.run_module('triscore.cli', run_name='__main__', alter_sys=True)\n", "--help")
+        assert (proc.returncode, proc.stderr) == (0, "[]\n"), proc.stderr
+
+
 class TestCalibrate:
     def test_improves_or_matches_score(self, runner, dataset_csv):
         out = run_json(runner, ["calibrate", "-i", dataset_csv])

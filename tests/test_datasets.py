@@ -2,6 +2,7 @@ import codecs
 import dataclasses
 import json
 import math
+import struct
 from unittest import mock
 
 import numpy as np
@@ -37,10 +38,19 @@ def csv_bytes(*lines):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def load_json_reference(data: str | bytes, what: str):
+    """The standard decoder alone, with load_json's error wrapping: the
+    reference for load_json."""
+    try:
+        return json.loads(data.decode("utf-8-sig") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as e:
+        raise SchemaError(f"{what}: {e}") from None
+
+
 def parse_json_reference(data: bytes) -> Dataset:
     """Record-by-record JSON parsing through the per-field helpers and
     ``_build_record``: the reference for parse_json's column checks."""
-    doc = datasets.load_json(datasets._decode(data), "invalid JSON")
+    doc = load_json_reference(datasets._decode(data), "invalid JSON")
     if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
         raise SchemaError("top level must be an object with a 'records' array")
     if "q" in doc:
@@ -277,6 +287,132 @@ class TestParseJson:
     def test_other_byte_order_marks_are_errors(self, data):
         with pytest.raises(SchemaError, match="invalid JSON"):
             parse_json(data)
+
+
+def _float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@st.composite
+def _long_mantissas(draw) -> str:
+    """A number of 16-25 significant digits with an exponent out to +-340."""
+    digits = str(draw(st.integers(10**15, 10**25 - 1)))
+    point = draw(st.integers(1, len(digits)))
+    sign = draw(st.sampled_from(["", "-"]))
+    return f"{sign}{digits[:point]}.{digits[point:] or '0'}e{draw(st.integers(-340, 340))}"
+
+
+_number_texts = st.one_of(
+    # NaN and the infinities dump as the NaN and Infinity literals
+    st.integers(0, 2**64 - 1).map(_float_from_bits).map(json.dumps),
+    _long_mantissas(),
+    st.integers(-2**70, 2**70).map(str),  # across both 64-bit integer ranges
+    st.sampled_from(["1e400", "-1e400", "1e-400", "-0", "-0.0", "0e0", "1E+2"]),
+)
+_raw_texts = st.text(st.one_of(st.sampled_from('[]{}"\\:,'), st.characters(codec="utf-8")),
+                     max_size=8)
+_string_texts = st.one_of(
+    st.builds(lambda s, ascii: json.dumps(s, ensure_ascii=ascii), _raw_texts, st.booleans()),
+    # unescaped: a quote ends the string early, a control character is invalid
+    _raw_texts.map(lambda s: f'"{s}"'),
+)
+_value_texts = st.recursive(
+    st.one_of(_number_texts, _string_texts, st.sampled_from(["true", "false", "null"])),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(lambda xs: "[" + ", ".join(xs) + "]"),
+        st.lists(st.tuples(_string_texts, inner), max_size=4).map(
+            lambda kvs: "{" + ", ".join(f"{k}: {v}" for k, v in kvs) + "}")),
+    max_leaves=12,
+)
+
+
+def _nest(text: str, kinds: list[str]) -> str:
+    """``text`` inside one array or object per item of ``kinds``."""
+    opens = "".join("[" if k == "array" else '{"k": ' for k in kinds)
+    closes = "".join("]" if k == "array" else "}" for k in reversed(kinds))
+    return opens + text + closes
+
+
+@st.composite
+def _load_json_inputs(draw) -> str | bytes:
+    """A JSON document as str or bytes: valid or not, shallow or deep, with
+    or without byte-order marks, invalid UTF-8 or a lone surrogate."""
+    text = draw(_value_texts)
+    nesting = draw(st.sampled_from(["none", "63-66", "1000+"]))
+    if nesting == "63-66":
+        text = _nest(text, draw(st.lists(st.sampled_from(["array", "object"]),
+                                         min_size=63, max_size=66)))
+    elif nesting == "1000+":
+        # beyond the recursion limit, which hypothesis raises to 2000 above
+        # the caller's depth; one kind throughout, so the decoder fails at
+        # the same kind of level however deep the caller's stack is
+        kind = draw(st.sampled_from(["array", "object"]))
+        text = _nest("0", [kind] * draw(st.integers(5000, 10000)))
+    text = draw(st.sampled_from(["", " ", "\n\t"])) + text + draw(st.sampled_from(["", "\r\n"]))
+    form = draw(st.sampled_from(["str", "bytes", "bom", "two-boms", "bad-byte", "surrogate"]))
+    if form == "str":
+        return text
+    if form == "surrogate":
+        return f'["{chr(draw(st.integers(0xD800, 0xDFFF)))}", {text}]'
+    data = text.encode("utf-8")
+    if form == "bad-byte":
+        return b'["' + draw(st.sampled_from([b"\xff", b"\xed\xa0\x80", b"\xc3"])) + b'", ' + (
+            data + b"]")
+    return codecs.BOM_UTF8 * {"bytes": 0, "bom": 1, "two-boms": 2}[form] + data
+
+
+def _canonical(value):
+    """A decoded value with floats as their bits, so NaN equals NaN and -0.0
+    differs from 0.0; an int beyond 64 bits is compared as a float, which
+    is what orjson gives for it; an object keeps its key order."""
+    if type(value) is int and not -2**63 <= value < 2**64:
+        value = float(value)
+    if type(value) is float:
+        return ("float", struct.pack("<d", value))
+    if type(value) is list:
+        return [_canonical(v) for v in value]
+    if type(value) is dict:
+        return {"object": [(k, _canonical(v)) for k, v in value.items()]}
+    return (type(value).__name__, value)
+
+
+def _loaded(load, data):
+    try:
+        return _canonical(load(data, "invalid JSON"))
+    except SchemaError as e:
+        return ("error", str(e))
+
+
+class TestLoadJson:
+    """load_json's orjson path against the standard decoder alone."""
+
+    # 500 draw each of the 18 pairs of input form and nesting about 28 times,
+    # each with its own value tree of the number and string families, in
+    # about 6 s; a 20 000-example run found no difference either
+    @settings(max_examples=500, deadline=None)
+    @given(_load_json_inputs())
+    def test_matches_standard_decoder(self, data):
+        assert _loaded(datasets.load_json, data) == _loaded(load_json_reference, data)
+
+    @pytest.mark.parametrize("data, shallow", [
+        (b'{"records": [{"lat": 0.5, "obs": "N"}, []]}', True),
+        (codecs.BOM_UTF8 + b'[1, "\xc3\xa9"]', True),
+        (b"[" * 64 + b"]" * 64, True),
+        (b"[" * 65 + b"]" * 65, False),
+        (b'["a[b"]', False),
+        (b'["]", "["]', False),
+        (b'["\\u00e9"]', False),
+        (b"[NaN]", True),  # shallow, but orjson rejects it
+    ], ids=["records", "bom-and-utf8", "depth-64", "depth-65", "bracket-in-string",
+            "brackets-across-strings", "backslash", "nan-literal"])
+    def test_shallow(self, data, shallow):
+        assert datasets._shallow(data) is shallow
+
+    def test_shallow_document_is_not_decoded_by_json(self):
+        data = b'{"q": [0.25, 0.5, 0.25], "records": [{"lat": 1, "obs": "B"}]}'
+        want = json.loads(data)
+        with mock.patch.object(datasets.json, "loads", side_effect=AssertionError):
+            assert datasets.load_json(data, "x") == want
 
 
 class TestRoundtrip:
