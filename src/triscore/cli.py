@@ -361,7 +361,7 @@ def render_reliability(input_path, output_path, score_rule, nbins, threshold, wi
     decomp = decompose(rule, binned)
     config = RenderConfig(width_px=width, height_px=height, dipole_threshold=threshold)
     data = render_reliability_diagram(binned, decomp, config)
-    shown = int((binned.obs_counts.sum(axis=1) >= threshold).sum())
+    shown = int((binned.counts >= threshold).sum())
     _finish({"output": output_path, "n_bins": len(binned.keys), "n_dipoles": shown},
             output_path, data)
 

@@ -73,9 +73,40 @@ def check_lat_lon(lat: float, lon: float, where: str | None = None) -> None:
         raise SchemaError(f"lon = {lon} outside [-180, 180]", where)
 
 
+def _finite(value) -> bool:
+    """Whether value is a number that converts to a finite float."""
+    try:
+        return math.isfinite(value)
+    except (OverflowError, TypeError):
+        return False
+
+
+def _check_array(values, what: str) -> None:
+    """SchemaError unless values is a non-empty sequence of finite numbers;
+    the message names ``what[j]``, the first value that is not one."""
+    if not values:
+        raise SchemaError(f"{what} must be a non-empty array")
+    for j, value in enumerate(values):
+        if not _finite(value):
+            raise SchemaError(f"{what}[{j}] must be a finite number")
+
+
+def _check_metadata(metadata) -> None:
+    """SchemaError unless metadata is a dict of strings to strings."""
+    if not isinstance(metadata, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
+    ):
+        raise SchemaError("metadata must map strings to strings", "metadata")
+
+
 @dataclass(frozen=True)
 class ForecastRecord:
-    """One located forecast with optional observation and climatology."""
+    """One located forecast with optional observation and climatology.
+
+    Construction checks the rules the parsers check, with their messages,
+    so every record that can be built can be written and read back.  The
+    ternary triple is taken as given (see :class:`TernaryProb`).
+    """
 
     lat: float
     lon: float
@@ -88,7 +119,20 @@ class ForecastRecord:
 
     def __post_init__(self):
         _check_representation(self.ternary, self.gaussian, self.members)
+        if self.gaussian is not None:
+            for name, value in zip(_GAUSSIAN_FIELDS, self.gaussian):
+                if not _finite(value):
+                    raise SchemaError(f"{name} must be a finite number")
+            if self.gaussian[1] <= 0.0 or self.gaussian[3] <= 0.0:
+                raise SchemaError("sigma and sigma_c must be positive")
+        if self.obs is not None and self.obs_value is not None:
+            raise SchemaError("record supplies both obs and obs_value")
         check_lat_lon(self.lat, self.lon)
+        if self.obs_value is not None and not _finite(self.obs_value):
+            raise SchemaError("obs_value must be a finite number")
+        for what, values in (("members", self.members), ("series", self.series)):
+            if values is not None:
+                _check_array(values, what)
 
 
 def _valid_record(lat, lon, ternary, gaussian, members, obs, obs_value, series) -> ForecastRecord:
@@ -115,6 +159,9 @@ class Dataset:
     records: tuple[ForecastRecord, ...]
     q: TernaryProb = UNIFORM
     metadata: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        _check_metadata(self.metadata)
 
 
 def _record_thresholds(record: ForecastRecord, q: TernaryProb) -> CategoryThresholds:
@@ -209,13 +256,8 @@ def _build_record(
         elif gaussian is not None:
             if None in gaussian:
                 raise SchemaError("mu, sigma, mu_c, sigma_c must all be present")
-            if gaussian[1] <= 0.0 or gaussian[3] <= 0.0:
-                raise SchemaError("sigma and sigma_c must be positive")
             gaussian = tuple(gaussian)
-        if obs is not None and obs_value is not None:
-            raise SchemaError("record supplies both obs and obs_value")
-        check_lat_lon(lat, lon)
-        return _valid_record(lat, lon, ternary, gaussian, members, obs, obs_value, series)
+        return ForecastRecord(lat, lon, ternary, gaussian, members, obs, obs_value, series)
     except TriscoreError as e:
         cls = type(e) if isinstance(e, SchemaError) else SchemaError
         raise cls(str(e), where) from None
@@ -523,10 +565,7 @@ def parse_json(data: bytes) -> Dataset:
         q = UNIFORM
 
     metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
-    ):
-        raise SchemaError("metadata must map strings to strings", "metadata")
+    _check_metadata(metadata)
 
     records = doc["records"]
     # a record that is not an object decodes as one without lat

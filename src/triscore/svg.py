@@ -75,14 +75,16 @@ class _Box:
         self.y0 = y0  # pixel y of the triangle base
         self.edge = edge
 
-    def to_px(self, p: TernaryProb) -> tuple[float, float]:
-        """Pixel position of p on the equilateral triangle with corner B at
-        (x0, y0), corner A to its right and corner N above."""
-        return (self.x0 + (0.5 * p.pN + p.pA) * self.edge, self.y0 - _SQRT3_2 * p.pN * self.edge)
+    def to_px(self, p: np.ndarray) -> np.ndarray:
+        """Pixel (x, y) of each (pB, pN, pA) row of p, (3,) or (N, 3), on the
+        triangle with corner B at (x0, y0), corner A to its right and N above."""
+        pN, pA = p[..., 1], p[..., 2]
+        return np.stack([self.x0 + (0.5 * pN + pA) * self.edge,
+                         self.y0 - _SQRT3_2 * pN * self.edge], axis=-1)
 
 
 # corners B, A and N, in the order the outline visits them
-_CORNERS = (TernaryProb(1.0, 0.0, 0.0), TernaryProb(0.0, 0.0, 1.0), TernaryProb(0.0, 1.0, 0.0))
+_CORNERS = np.array([(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)])
 
 
 def _cross(out: list[str], x: float, y: float, arm: float, color: str) -> None:
@@ -91,19 +93,16 @@ def _cross(out: list[str], x: float, y: float, arm: float, color: str) -> None:
 
 
 def _triangle_outline(out: list[str], box: _Box) -> None:
-    corners = [xy for c in _CORNERS for xy in box.to_px(c)]
     out.append('<path d="M %.4f %.4f L %.4f %.4f L %.4f %.4f Z" fill="none" '
-               'stroke="#000000" stroke-width="1"/>' % tuple(corners))
+               'stroke="#000000" stroke-width="1"/>' % tuple(box.to_px(_CORNERS).ravel().tolist()))
 
 
 def _lattice_px(size: int, box: _Box) -> dict[tuple[int, int], tuple[float, float]]:
     """Pixel position of each lattice point (a, b, size - a - b) / size,
     keyed (a, b), a descending and then b descending."""
-    return {
-        (a, b): box.to_px(make_ternary(a / size, b / size, (size - a - b) / size))
-        for a in range(size, -1, -1)
-        for b in range(size - a, -1, -1)
-    }
+    keys = [(a, b) for a in range(size, -1, -1) for b in range(size - a, -1, -1)]
+    points = np.array([(a, b, size - a - b) for a, b in keys]) / size
+    return dict(zip(keys, map(tuple, box.to_px(points).tolist())))
 
 
 def _legend(
@@ -128,8 +127,7 @@ def _legend(
         for b in range(size - 1 - a):
             emit(a, b, size - 2 - a - b, 2, ((a, b + 1), (a + 1, b), (a + 1, b + 1)))
     _triangle_outline(out, box)
-    qx, qy = box.to_px(q)
-    _cross(out, qx, qy, max(3.0, box.edge * 0.02), _CROSS_COLOR)
+    _cross(out, *box.to_px(q.as_array()).tolist(), max(3.0, box.edge * 0.02), _CROSS_COLOR)
 
 
 def _document(width: int, height: int, elements: list[str]) -> bytes:
@@ -289,7 +287,7 @@ def _shade_for_count(count: int, max_count: int) -> str:
 
 
 def _sharpness_inset(out: list[str], binned: BinnedStats, box: _Box) -> None:
-    counts = dict(zip(map(tuple, binned.keys.tolist()), binned.obs_counts.sum(axis=1).tolist()))
+    counts = dict(zip(map(tuple, binned.keys.tolist()), binned.counts.tolist()))
     max_count = max(counts.values()) if counts else 1
     radius = box.edge / (2.0 * binned.nbins)
     for (a, b), (x, y) in _lattice_px(binned.nbins, box).items():
@@ -375,14 +373,14 @@ def render_reliability_diagram(
     )
     _triangle_outline(out, main_box)
 
-    qx, qy = main_box.to_px(decomposition.q_bar)
-    _cross(out, qx, qy, main_edge * 0.015, _CROSS_COLOR)
+    _cross(out, *main_box.to_px(decomposition.q_bar.as_array()).tolist(), main_edge * 0.015,
+           _CROSS_COLOR)
 
-    shown = [b for b in binned.bins if b.count >= config.dipole_threshold]
+    shown = binned.counts >= config.dipole_threshold
+    forecast_px = main_box.to_px(binned.centers[shown]).tolist()
+    obs_px = main_box.to_px(binned.mean_obs[shown]).tolist()
     out.append('<g id="dipoles">')
-    for b in shown:
-        fx, fy = main_box.to_px(b.center)
-        ox, oy = main_box.to_px(b.mean_obs)
+    for (fx, fy), (ox, oy) in zip(forecast_px, obs_px):
         out.append("<g>")
         out.append(_LINE % (fx, fy, ox, oy, _DIPOLE_COLOR, "1.5", ""))
         out.append('<circle cx="%.4f" cy="%.4f" r="3.5" fill="#000000"/>' % (fx, fy))

@@ -49,26 +49,39 @@ class Bin:
 class BinnedStats:
     """Forecast-observation pairs grouped on the simplex lattice: each bin's
     lattice counts ``keys`` and observed category counts ``obs_counts``,
-    both (nb, 3) integer arrays ordered as the (kB, kN, kA) tuples."""
+    both (nb, 3) integer arrays ordered as the (kB, kN, kA) tuples.  Every
+    consumer reads each bin's pair count, centre and mean observation here."""
 
     keys: np.ndarray
     obs_counts: np.ndarray
     nbins: int
 
     @property
+    def counts(self) -> np.ndarray:
+        """Each bin's number of pairs, an (nb,) integer array."""
+        return self.obs_counts.sum(axis=1)
+
+    @property
+    def centers(self) -> np.ndarray:
+        """Each bin's lattice point as probabilities, (nb, 3)."""
+        return self.keys / self.nbins
+
+    @property
+    def mean_obs(self) -> np.ndarray:
+        """Each bin's observed category frequencies, (nb, 3)."""
+        return self.obs_counts / self.counts[:, None]
+
+    @property
     def n_pairs(self) -> int:
-        return int(self.obs_counts.sum())
+        return int(self.counts.sum())
 
     @property
     def bins(self) -> tuple[Bin, ...]:
-        """The bins as :class:`Bin` values."""
-        n = self.nbins
-        bins = []
-        for key, counts in zip(self.keys.tolist(), self.obs_counts):
-            total = int(counts.sum())
-            center = make_ternary(key[0] / n, key[1] / n, key[2] / n)
-            bins.append(Bin(center, total, make_ternary(*(counts / total)), tuple(key)))
-        return tuple(bins)
+        """The bins as :class:`Bin` values; a row of ``centers`` or ``mean_obs``
+        is a triple that :func:`make_ternary` returns unchanged."""
+        rows = zip(self.centers.tolist(), self.counts.tolist(), self.mean_obs.tolist(),
+                   map(tuple, self.keys.tolist()))
+        return tuple(Bin(TernaryProb(*c), n, TernaryProb(*m), k) for c, n, m, k in rows)
 
 
 def _pair_arrays(pairs: list[ForecastObsPair]) -> tuple[np.ndarray, np.ndarray]:
@@ -105,12 +118,11 @@ def snap_to_lattice(p: TernaryProb, nbins: int) -> tuple[int, int, int]:
 
 def _bin_arrays(
     F: np.ndarray, obs: np.ndarray, group: np.ndarray, nbins: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, BinnedStats]:
     """Group the rows of F by (group id, lattice point).
 
-    Returns each bin's group id, its lattice counts (nb, 3) and its
-    observed category counts (nb, 3), ordered by group id and then as
-    the (kB, kN, kA) tuples.
+    Returns each bin's group id and the bins, ordered by group id and
+    then as the (kB, kN, kA) tuples.
     """
     if not 1 <= nbins <= 2**31:  # so the lattice code below fits in int64
         raise EmptyDataset(f"nbins = {nbins} must be between 1 and {2**31}")
@@ -123,13 +135,12 @@ def _bin_arrays(
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(starts) - 1
     obs_counts = np.bincount(3 * inverse + obs, minlength=3 * len(first)).reshape(-1, 3)
-    return group[first], keys[first], obs_counts
+    return group[first], BinnedStats(keys[first], obs_counts, nbins)
 
 
 def _binned(F: np.ndarray, obs: np.ndarray, nbins: int) -> BinnedStats:
     """The rows of F and their observed category indices, binned."""
-    _, keys, obs_counts = _bin_arrays(F, obs, np.zeros(len(F), dtype=np.int64), nbins)
-    return BinnedStats(keys, obs_counts, nbins)
+    return _bin_arrays(F, obs, np.zeros(len(F), dtype=np.int64), nbins)[1]
 
 
 def bin_forecasts(pairs: list[ForecastObsPair], nbins: int = 11) -> BinnedStats:
@@ -185,21 +196,16 @@ class Decomposition:
             raise InvalidDecomposition(f"U = {self.U} < Z = {self.Z}")
 
 
-def _decompose_bins(
-    rule: ScoringRule, group: np.ndarray, keys: np.ndarray, obs_counts: np.ndarray, nbins: int
-) -> list[Decomposition]:
+def _decompose_bins(rule: ScoringRule, group: np.ndarray, bins: BinnedStats) -> list[Decomposition]:
     """One Decomposition per group id 0..G-1 of the bins; every id has bins.
 
     Within each bin the observation distribution over the three corners
-    is exactly the bin's mean observation ``obs_counts / count``, so S,
-    Z and R reduce to count-weighted sums of squared plane distances
-    between lattice centres ``keys / nbins``, corner observations,
-    conditional means and the group's mean observation; U is the
-    uncertainty of that group mean.
+    is exactly the bin's mean observation, so S, Z and R reduce to
+    count-weighted sums of squared plane distances between bin centres,
+    corner observations, mean observations and the group's mean
+    observation; U is the uncertainty of that group mean.
     """
-    counts = obs_counts.sum(axis=1)
-    centers = keys / nbins
-    freqs = obs_counts / counts[:, None]
+    counts, centers, freqs = bins.counts, bins.centers, bins.mean_obs
     n = np.bincount(group, weights=counts)
 
     def mean(x: np.ndarray) -> np.ndarray:
@@ -223,11 +229,9 @@ def _decompose_bins(
 
 def decompose(rule: ScoringRule, binned: BinnedStats) -> Decomposition:
     """Murphy decomposition of the binned mean score."""
-    nb = len(binned.keys)
-    if not nb:
+    if not len(binned.keys):
         raise EmptyDataset("no bins to decompose")
-    group = np.zeros(nb, dtype=np.int64)
-    return _decompose_bins(rule, group, binned.keys, binned.obs_counts, binned.nbins)[0]
+    return _decompose_bins(rule, np.zeros(len(binned.keys), dtype=np.int64), binned)[0]
 
 
 def decompose_by_group(
@@ -243,7 +247,7 @@ def decompose_by_group(
     sizes = np.bincount(group)
     if not len(sizes) or not sizes.all():
         raise EmptyDataset("every group id 0..G-1 needs at least one pair")
-    return _decompose_bins(rule, *_bin_arrays(F, obs, group, nbins), nbins)
+    return _decompose_bins(rule, *_bin_arrays(F, obs, group, nbins))
 
 
 def skill_radius(d: Decomposition) -> float | None:

@@ -1010,3 +1010,41 @@ class TestProjectKeepsVerification:
                              for path in (src, projected))
             assert before.exit_code == after.exit_code == 0, (args, before.output)
             assert after.stdout_bytes == before.stdout_bytes, args
+
+
+class TestReliabilityRelations:
+    """What render-reliability's summary, its figure and verify share."""
+
+    @pytest.mark.parametrize("threshold", [0, 1, 10, 10**9])
+    def test_n_dipoles_counts_the_drawn_dipoles(self, runner, dataset_json, tmp_path,
+                                                threshold):
+        out_path = tmp_path / "rel.svg"
+        out = run_json(runner, ["render-reliability", "-i", dataset_json, "-o", str(out_path),
+                                "--threshold", str(threshold)])
+        ns = "{http://www.w3.org/2000/svg}"
+        layer = [g for g in ET.parse(out_path).getroot().iter(f"{ns}g")
+                 if g.get("id") == "dipoles"]
+        assert len(layer) == 1
+        assert out["n_dipoles"] == len(layer[0].findall(f"{ns}g"))
+
+    @pytest.mark.parametrize("source", ["frozen", "mixed"])
+    def test_record_order_changes_no_byte(self, runner, tmp_path, source):
+        records = (json.loads(write_json(frozen_dataset()))["records"] if source == "frozen"
+                   else mixed_records())
+        rng = np.random.default_rng(7)
+        paths = []
+        for k in range(3):
+            path = tmp_path / f"in{k}.json"
+            order = rng.permutation(len(records)) if k else range(len(records))
+            path.write_text(json.dumps({"records": [records[i] for i in order]}))
+            paths.append(path)
+        out_path = tmp_path / "rel.svg"
+        for args in (["verify", "--score", "brier"], ["verify", "--score", "rps", "--nbins", "5"],
+                     ["render-reliability", "-o", str(out_path), "--threshold", "1"]):
+            outputs = []
+            for path in paths:
+                result = runner.invoke(main, [*args, "-i", str(path)])
+                assert result.exit_code == 0, result.output
+                written = out_path.read_bytes() if "-o" in args else b""
+                outputs.append((result.stdout_bytes, written))
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0], args

@@ -544,6 +544,92 @@ class TestRecordValidation:
             with pytest.raises(SchemaError):
                 dataclasses.replace(rec, lat=91.0)
 
+    @pytest.mark.parametrize("obj", [
+        {"pB": 0.2, "pN": 0.3, "pA": 0.5, "obs": "B", "obs_value": 1.0},
+        {"mu": 7.0, "sigma": 0.0, "mu_c": 5.0, "sigma_c": 2.0},
+        {"mu": math.nan, "sigma": 2.0, "mu_c": 5.0, "sigma_c": 2.0},
+        {"members": []},
+        {"members": [1.0, 2.0], "series": []},
+        {"members": [1.0, math.nan]},
+        {"pB": 0.2, "pN": 0.3, "pA": 0.5, "obs_value": math.inf},
+    ], ids=["obs-and-obs-value", "sigma-zero", "nan-gaussian", "no-members", "no-series",
+            "nan-member", "infinite-obs-value"])
+    def test_constructor_rejects_what_the_parser_rejects(self, obj):
+        """A record that write_json could write but parse_json would reject
+        cannot be built, and its message is the parser's."""
+        obj = {"lat": 1.0, "lon": 2.0, **obj}
+        with pytest.raises(SchemaError) as parsed:
+            parse_json(_as_json(obj))
+        with pytest.raises(SchemaError) as built:
+            ForecastRecord(**_record_fields(obj))
+        assert str(parsed.value).endswith(": " + str(built.value))
+
+    def test_dataset_metadata_maps_strings_to_strings(self):
+        with pytest.raises(SchemaError, match="metadata must map strings to strings"):
+            Dataset(records=(), metadata={"a": 1})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_built_records_roundtrip(self, data):
+        """Every record the constructor accepts is read back equal from
+        write_json's output; every record it rejects, the parser rejects."""
+        obj = data.draw(_record_objects())
+        try:
+            rec = ForecastRecord(**_record_fields(obj))
+        except SchemaError:
+            with pytest.raises(SchemaError):
+                parse_json(_as_json(obj))
+        else:
+            ds = Dataset(records=(rec,), metadata={"k": "v"})
+            assert parse_json(write_json(ds)) == ds
+
+
+def _record_fields(obj: dict) -> dict:
+    """The ForecastRecord fields of a JSON record object."""
+    fields = {"lat": obj["lat"], "lon": obj["lon"], "obs_value": obj.get("obs_value")}
+    if "pB" in obj:
+        fields["ternary"] = make_ternary(obj["pB"], obj["pN"], obj["pA"])
+    if "mu" in obj:
+        fields["gaussian"] = tuple(obj[k] for k in ("mu", "sigma", "mu_c", "sigma_c"))
+    for key in ("members", "series"):
+        if key in obj:
+            fields[key] = tuple(obj[key])
+    if "obs" in obj:
+        fields["obs"] = ObsCategory(obj["obs"])
+    return fields
+
+
+# mostly finite numbers, with the values the parser rejects mixed in; the
+# integers are ones a float holds exactly, as the parser reads every number
+# as a float (a larger one reads back rounded)
+_any_number = st.one_of(
+    st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.integers(-2**53, 2**53),
+    st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf,
+                     -math.inf, 10**400]),
+)
+
+
+@st.composite
+def _record_objects(draw) -> dict:
+    obj = {"lat": draw(st.floats(-90.0, 90.0) | st.integers(-90, 90)),
+           "lon": draw(st.floats(-180.0, 180.0) | st.integers(-180, 180))}
+    kind = draw(st.sampled_from(("ternary", "gaussian", "ensemble")))
+    if kind == "ternary":
+        p = draw(st.sampled_from([(0.2, 0.3, 0.5), (1.0, 0.0, 0.0), UNIFORM.as_tuple()]))
+        obj.update(zip(("pB", "pN", "pA"), p))
+    elif kind == "gaussian":
+        obj.update(zip(("mu", "sigma", "mu_c", "sigma_c"),
+                       (draw(_any_number) for _ in range(4))))
+    else:
+        obj["members"] = draw(st.lists(_any_number, max_size=4))
+        if draw(st.booleans()):
+            obj["series"] = draw(st.lists(_any_number, max_size=4))
+    if draw(st.booleans()):
+        obj["obs"] = draw(st.sampled_from("BNA"))
+    if draw(st.booleans()):
+        obj["obs_value"] = draw(_any_number)
+    return obj
+
 
 _ALL_COLUMNS = ("lat", "lon", "pB", "pN", "pA", "mu", "sigma", "mu_c", "sigma_c",
                 "obs", "obs_value")

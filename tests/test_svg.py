@@ -276,7 +276,8 @@ class TestGoldenFiles:
     @pytest.mark.parametrize("name, q, params, size", [
         ("legend.svg", UNIFORM, PaletteParams(), 16),
         ("legend_q5.svg", make_ternary(0.2, 0.3, 0.5), PaletteParams(m=1.1, theta0=0.3), 5),
-    ], ids=["uniform-16", "q-5"])
+        ("legend_size1.svg", UNIFORM, PaletteParams(), 1),  # a single polygon
+    ], ids=["uniform-16", "q-5", "uniform-1"])
     def test_legend_golden(self, name, q, params, size):
         got = render_palette_legend(q, params, size)
         assert got == (GOLDEN / name).read_bytes()
@@ -300,13 +301,15 @@ class TestGoldenFiles:
         got = render_forecast_map(ds, RenderConfig(palette=params), overlay=overlay)
         assert got == (GOLDEN / name).read_bytes()
 
-    @pytest.mark.parametrize("name, nbins", [
-        ("reliability.svg", 11), ("reliability_nbins5.svg", 5),
-    ], ids=["nbins-11", "nbins-5"])
-    def test_reliability_golden(self, name, nbins):
+    @pytest.mark.parametrize("name, nbins, threshold", [
+        ("reliability.svg", 11, 10), ("reliability_nbins5.svg", 5, 10),
+        # a dipole for every occupied bin
+        ("reliability_all.svg", 11, 0), ("reliability_nbins1.svg", 1, 0),
+    ], ids=["nbins-11", "nbins-5", "nbins-11-all", "nbins-1-all"])
+    def test_reliability_golden(self, name, nbins, threshold):
         ds = frozen_dataset()
         pairs = [ForecastObsPair(r.ternary, r.obs) for r in ds.records]
         binned = bin_forecasts(pairs, nbins)
         decomp = decompose(brier_rule(), binned)
-        got = render_reliability_diagram(binned, decomp, RenderConfig(dipole_threshold=10))
+        got = render_reliability_diagram(binned, decomp, RenderConfig(dipole_threshold=threshold))
         assert got == (GOLDEN / name).read_bytes()

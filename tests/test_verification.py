@@ -24,7 +24,7 @@ from triscore import (
     snap_to_lattice,
 )
 from triscore.errors import EmptyDataset, InvalidDecomposition
-from triscore.simplex import SUM_TOLERANCE
+from triscore.simplex import RESCALE_TOLERANCE, SUM_TOLERANCE
 from triscore.verification import _pair_arrays
 
 from conftest import CATS, categorical_pairs, random_pd_rules
@@ -230,6 +230,59 @@ class TestArrayMatchesReference:
             d = decompose(rule, binned)
             want = decompose_reference(rule, binned)
             assert np.max(np.abs(np.array([d.S, d.U, d.Z, d.R]) - want)) <= 1e-12
+
+
+@st.composite
+def _count_triples(draw, max_total: int) -> tuple[int, tuple[int, int, int]]:
+    """A total in 1..max_total and three non-negative counts summing to it."""
+    total = draw(st.integers(1, max_total))
+    a = draw(st.integers(0, total))
+    b = draw(st.integers(0, total - a))
+    return total, (a, b, total - a - b)
+
+
+def _bits(values) -> list[str]:
+    return [float(x).hex() for x in values]
+
+
+class TestBinRowsAreValidTriples:
+    """BinnedStats.bins and the reliability diagram take each bin centre
+    keys / nbins and mean observation obs_counts / count as a triple as it
+    stands, without make_ternary.  That is exact because three
+    non-negative, correctly rounded quotients of counts that sum to their
+    divisor sum, added left to right, to within about 3 * 2**-53 (3.3e-16)
+    of one: below RESCALE_TOLERANCE (1e-15), so make_ternary returns them
+    unchanged.  The bound holds for any counts below 2**53, so the random
+    cases below guard the code that computes the rows, not the bound; a
+    few hundred of them reach every magnitude up to the largest nbins and
+    counts."""
+
+    def test_every_lattice_row_up_to_500(self):
+        worst = 0.0
+        for n in range(1, 501):
+            i, j = np.triu_indices(n + 1)  # every 0 <= a <= a + b <= n
+            rows = np.stack([i, j - i, n - j], axis=1) / n
+            assert not np.signbit(rows).any()
+            worst = max(worst, np.abs(rows[:, 0] + rows[:, 1] + rows[:, 2] - 1.0).max())
+        assert worst <= RESCALE_TOLERANCE
+
+    @settings(max_examples=500, deadline=None)
+    @given(_count_triples(2**31))
+    def test_centers_pass_make_ternary_unchanged(self, case):
+        nbins, key = case
+        binned = BinnedStats(np.array([key]), np.array([[1, 0, 0]]), nbins)
+        row = binned.centers[0]
+        assert _bits(make_ternary(*row).as_tuple()) == _bits(row)
+        assert binned.bins[0].center == make_ternary(*row)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_count_triples(10**9))
+    def test_mean_obs_pass_make_ternary_unchanged(self, case):
+        count, obs_counts = case
+        binned = BinnedStats(np.array([[1, 0, 0]]), np.array([obs_counts]), 1)
+        row = binned.mean_obs[0]
+        assert _bits(make_ternary(*row).as_tuple()) == _bits(row)
+        assert binned.counts[0] == count and binned.bins[0].mean_obs == make_ternary(*row)
 
 
 # forecasts as make_ternary issues them: from raw triples with signed
