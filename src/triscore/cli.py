@@ -360,7 +360,7 @@ def render_reliability(input_path, output_path, score_rule, nbins, threshold, wi
     binned = bin_forecasts(pairs, nbins)
     decomp = decompose(rule, binned)
     config = RenderConfig(width_px=width, height_px=height, dipole_threshold=threshold)
-    data = render_reliability_diagram(binned, decomp, config)
+    data = render_reliability_diagram(binned, decomp, config, rule)
     shown = int((binned.counts >= threshold).sum())
     _finish({"output": output_path, "n_bins": len(binned.keys), "n_dipoles": shown},
             output_path, data)

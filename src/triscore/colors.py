@@ -20,11 +20,12 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ChannelOutOfRange, DegenerateClimatology
+from .scoring import brier_rule, unit_map
 from .simplex import TernaryProb
 
 # Equilateral (unit-side) triangle map: colour geometry is fixed to this
 # triangle regardless of which scoring rule verification uses.
-_EQUILATERAL_MHAT = np.array([[0.0, 0.5, 1.0], [0.0, math.sqrt(3.0) / 2.0, 0.0]])
+_EQUILATERAL_MHAT = unit_map(brier_rule())
 
 _ZERO_RADIUS = 1e-12
 

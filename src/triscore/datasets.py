@@ -73,22 +73,23 @@ def check_lat_lon(lat: float, lon: float, where: str | None = None) -> None:
         raise SchemaError(f"lon = {lon} outside [-180, 180]", where)
 
 
-def _finite(value) -> bool:
-    """Whether value is a number that converts to a finite float."""
+def _float(value, what: str, where: str | None = None) -> float:
+    """value as a Python float; SchemaError at ``where`` unless value is a
+    finite number, not a bool."""
     try:
-        return math.isfinite(value)
+        if not isinstance(value, (bool, np.bool_)) and math.isfinite(value):
+            return float(value)
     except (OverflowError, TypeError):
-        return False
+        pass
+    raise SchemaError(f"{what} must be a finite number", where)
 
 
-def _check_array(values, what: str) -> None:
-    """SchemaError unless values is a non-empty sequence of finite numbers;
-    the message names ``what[j]``, the first value that is not one."""
-    if not values:
-        raise SchemaError(f"{what} must be a non-empty array")
-    for j, value in enumerate(values):
-        if not _finite(value):
-            raise SchemaError(f"{what}[{j}] must be a finite number")
+def json_floats(values, what: str, where: str | None = None) -> tuple[float, ...]:
+    """A non-empty list or tuple of numbers as floats; SchemaError at
+    ``where`` names the first item ``what[j]`` that is not a finite number."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise SchemaError(f"{what} must be a non-empty array", where)
+    return tuple(_float(value, f"{what}[{j}]", where) for j, value in enumerate(values))
 
 
 def _check_metadata(metadata) -> None:
@@ -104,8 +105,8 @@ class ForecastRecord:
     """One located forecast with optional observation and climatology.
 
     Construction checks the rules the parsers check, with their messages,
-    so every record that can be built can be written and read back.  The
-    ternary triple is taken as given (see :class:`TernaryProb`).
+    and stores each number as a float, so every record that can be built
+    can be written and read back; the triple's values are taken as given.
     """
 
     lat: float
@@ -119,20 +120,26 @@ class ForecastRecord:
 
     def __post_init__(self):
         _check_representation(self.ternary, self.gaussian, self.members)
+        floats = {"lat": _float(self.lat, "lat"), "lon": _float(self.lon, "lon")}
+        if self.ternary is not None:
+            if not isinstance(self.ternary, TernaryProb):
+                raise SchemaError(f"ternary must be a TernaryProb, got {self.ternary!r}")
+            floats["ternary"] = TernaryProb(*map(float, self.ternary.as_tuple()))
         if self.gaussian is not None:
-            for name, value in zip(_GAUSSIAN_FIELDS, self.gaussian):
-                if not _finite(value):
-                    raise SchemaError(f"{name} must be a finite number")
-            if self.gaussian[1] <= 0.0 or self.gaussian[3] <= 0.0:
+            floats["gaussian"] = g = tuple(map(_float, self.gaussian, _GAUSSIAN_FIELDS))
+            if g[1] <= 0.0 or g[3] <= 0.0:
                 raise SchemaError("sigma and sigma_c must be positive")
+        if not isinstance(self.obs, (ObsCategory, NoneType)):
+            raise SchemaError(f"obs must be an ObsCategory, got {self.obs!r}")
         if self.obs is not None and self.obs_value is not None:
             raise SchemaError("record supplies both obs and obs_value")
-        check_lat_lon(self.lat, self.lon)
-        if self.obs_value is not None and not _finite(self.obs_value):
-            raise SchemaError("obs_value must be a finite number")
-        for what, values in (("members", self.members), ("series", self.series)):
-            if values is not None:
-                _check_array(values, what)
+        check_lat_lon(floats["lat"], floats["lon"])
+        for name, convert in (("obs_value", _float), ("members", json_floats),
+                              ("series", json_floats)):
+            if getattr(self, name) is not None:
+                floats[name] = convert(getattr(self, name), name)
+        for name, value in floats.items():
+            object.__setattr__(self, name, value)
 
 
 def _valid_record(lat, lon, ternary, gaussian, members, obs, obs_value, series) -> ForecastRecord:
@@ -161,6 +168,9 @@ class Dataset:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.q, TernaryProb):
+            raise SchemaError(f"q must be a TernaryProb, got {self.q!r}", "q")
+        object.__setattr__(self, "q", TernaryProb(*map(float, self.q.as_tuple())))
         _check_metadata(self.metadata)
 
 
@@ -470,15 +480,6 @@ def _json_float(value) -> float | None:
         except OverflowError:
             return None
     return None
-
-
-def json_floats(values, what: str, where: str | None = None) -> tuple[float, ...]:
-    """A decoded JSON array as floats; SchemaError names the first item
-    ``what[j]`` that is not a finite number."""
-    out = tuple(map(_json_float, values))
-    if None in out:
-        raise SchemaError(f"{what}[{out.index(None)}] must be a finite number", where)
-    return out
 
 
 def _json_cell(value) -> float | None:

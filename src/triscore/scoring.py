@@ -166,6 +166,11 @@ def custom_rule(L: np.ndarray) -> ScoringRule:
     return ScoringRule(L)
 
 
+def unit_map(rule: ScoringRule) -> np.ndarray:
+    """Mhat over the width of the triangle's bounding box: what figures draw."""
+    return rule.Mhat / (rule.Mhat[0].max() - rule.Mhat[0].min())
+
+
 def score(rule: ScoringRule, p: TernaryProb, o: TernaryProb) -> float:
     """Quadratic score (p-o)' L'L (p-o); zero iff p equals o."""
     dB, dN, dA = p.pB - o.pB, p.pN - o.pN, p.pA - o.pA

@@ -15,10 +15,10 @@ from itertools import islice
 
 import numpy as np
 
-from .colors import PaletteParams, assign_color, hex_colors, hsv_to_rgb
+from .colors import _EQUILATERAL_MHAT, PaletteParams, assign_color, hex_colors, hsv_to_rgb
 from .datasets import Dataset, resolve_dataset
 from .errors import DomainError, MissingVerificationHistory
-from .scoring import ScoringRule, brier_rule
+from .scoring import ScoringRule, brier_rule, unit_map
 from .simplex import TernaryProb, make_ternary
 from .verification import (
     BinnedStats,
@@ -28,7 +28,6 @@ from .verification import (
     skill_radius,
 )
 
-_SQRT3_2 = math.sqrt(3.0) / 2.0
 _MAX_LATTICE = 500  # the finest lattice drawn; the legend's cells are sub-pixel at 500
 
 _CROSS_COLOR = "#0000cc"
@@ -68,19 +67,17 @@ _TEXT = '<text x="%.4f" y="%.4f" font-family="sans-serif" font-size="11" fill="#
 
 
 class _Box:
-    """Maps simplex points into a pixel rectangle (y down)."""
+    """Maps simplex points through a unit map (``scoring.unit_map``), scaled
+    by edge, into pixels (y down): bounding box left at x0, base BA at y0."""
 
-    def __init__(self, x0: float, y0: float, edge: float):
-        self.x0 = x0
-        self.y0 = y0  # pixel y of the triangle base
+    def __init__(self, M: np.ndarray, x0: float, y0: float, edge: float):
+        self.M = M
         self.edge = edge
+        self.origin = np.array([x0 - M[0].min() * edge, y0])  # corner B
 
     def to_px(self, p: np.ndarray) -> np.ndarray:
-        """Pixel (x, y) of each (pB, pN, pA) row of p, (3,) or (N, 3), on the
-        triangle with corner B at (x0, y0), corner A to its right and N above."""
-        pN, pA = p[..., 1], p[..., 2]
-        return np.stack([self.x0 + (0.5 * pN + pA) * self.edge,
-                         self.y0 - _SQRT3_2 * pN * self.edge], axis=-1)
+        """Pixel (x, y) of each (pB, pN, pA) row of p, (3,) or (N, 3)."""
+        return self.origin + (p @ self.M.T) * np.array([self.edge, -self.edge])
 
 
 # corners B, A and N, in the order the outline visits them
@@ -157,7 +154,7 @@ def render_palette_legend(
     width, height = 480, 460
     margin = 30.0
     edge = width - 2 * margin
-    box = _Box(margin, margin + edge * _SQRT3_2, edge)
+    box = _Box(_EQUILATERAL_MHAT, margin, margin + edge * _EQUILATERAL_MHAT[1].max(), edge)
     out: list[str] = []
     _legend(out, q, params, size, box)
     return _document(width, height, out)
@@ -264,11 +261,8 @@ def render_forecast_map(
         out.append(f'<polyline points="{pts}" fill="none" stroke="#555555" stroke-width="1"/>')
 
     legend_edge = min(config.width_px, config.height_px) * 0.28
-    box = _Box(
-        config.width_px - legend_edge - 10.0,
-        config.height_px - 10.0,
-        legend_edge,
-    )
+    box = _Box(_EQUILATERAL_MHAT, config.width_px - legend_edge - 10.0,
+               config.height_px - 10.0, legend_edge)
     out.append('<g id="legend">')
     _legend(out, dataset.q, config.palette, 12, box)
     out.append("</g>")
@@ -339,38 +333,41 @@ def _decomposition_inset(
 
 
 def render_reliability_diagram(
-    binned: BinnedStats, decomposition: Decomposition, config: RenderConfig | None = None
+    binned: BinnedStats, decomposition: Decomposition, config: RenderConfig | None = None,
+    rule: ScoringRule | None = None,
 ) -> bytes:
     """Ternary reliability diagram with decomposition and sharpness insets.
 
-    The main triangle shows, for each bin holding at least
-    ``dipole_threshold`` forecasts, the bin centre (black), the mean
-    observation given that bin (red) and the joining dipole segment.
-    The sharpness inset (top right) shades every lattice bin by its
-    occupancy; the decomposition inset (top left) draws the square-root
-    decomposition geometry with its two dashed limiting chords.
+    The main triangle is ``rule``'s (Brier if None).  For each bin holding
+    at least ``dipole_threshold`` forecasts it shows the bin centre
+    (black), the mean observation given that bin (red) and the joining
+    dipole; their count-weighted RMS length is sqrt(R).  The sharpness
+    inset (top right) shades every lattice bin by its occupancy; the
+    decomposition inset (top left) draws the square-root decomposition
+    geometry with its two dashed limiting chords.
     """
     if binned.nbins > _MAX_LATTICE:
         raise DomainError(f"nbins = {binned.nbins} is above {_MAX_LATTICE}, the finest drawn")
     if config is None:
         config = RenderConfig()
+    M = _EQUILATERAL_MHAT if rule is None else unit_map(rule)
     width = max(config.width_px, 600)
     height = max(config.height_px, 600)
     out: list[str] = []
 
-    inset_w = width * 0.30
+    # every part scales with size: the width, or less where the height is too short for it
+    eq_height = _EQUILATERAL_MHAT[1].max()
+    size = min(width, (height - 60.0) / (0.62 * eq_height))
+    inset_w = size * 0.30
     _decomposition_inset(out, decomposition, 20.0, inset_w * 0.62, inset_w)
 
-    sharp_edge = width * 0.24
-    sharp_box = _Box(width - sharp_edge - 20.0, 24.0 + sharp_edge * _SQRT3_2, sharp_edge)
+    sharp_edge = size * 0.24
+    sharp_box = _Box(_EQUILATERAL_MHAT, width - sharp_edge - 20.0,
+                     24.0 + sharp_edge * eq_height, sharp_edge)
     _sharpness_inset(out, binned, sharp_box)
 
-    main_edge = width * 0.62
-    main_box = _Box(
-        (width - main_edge) / 2.0,
-        height - 30.0,
-        main_edge,
-    )
+    main_edge = min(size * 0.62, (height - 60.0) / M[1].max())
+    main_box = _Box(M, (width - main_edge) / 2.0, height - 30.0, main_edge)
     _triangle_outline(out, main_box)
 
     _cross(out, *main_box.to_px(decomposition.q_bar.as_array()).tolist(), main_edge * 0.015,
@@ -388,6 +385,6 @@ def render_reliability_diagram(
                    'stroke-width="1.5"/>' % (ox, oy, _DIPOLE_COLOR))
         out.append("</g>")
     out.append("</g>")
-    out.append(_TEXT % (width - sharp_edge - 20.0, 40.0 + sharp_edge * _SQRT3_2,
+    out.append(_TEXT % (width - sharp_edge - 20.0, 40.0 + sharp_edge * eq_height,
                         f"threshold ={config.dipole_threshold}"))
     return _document(width, height, out)

@@ -2,6 +2,7 @@ import codecs
 import gc
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,8 +18,12 @@ from triscore import (
     BinnedStats,
     Dataset,
     Decomposition,
+    bin_forecasts,
+    brier_rule,
     make_ternary,
+    pairs_from_dataset,
     parse_json,
+    rps_rule,
     write_json,
 )
 from triscore.cli import _decomposition_summary, main, run
@@ -1048,3 +1053,54 @@ class TestReliabilityRelations:
                 written = out_path.read_bytes() if "-o" in args else b""
                 outputs.append((result.stdout_bytes, written))
             assert outputs[1] == outputs[0] and outputs[2] == outputs[0], args
+
+    @pytest.mark.parametrize("score", ["brier", "rps"])
+    def test_dipoles_measure_verify_sqrt_R(self, runner, dataset_json, tmp_path, score):
+        """The count-weighted RMS length of the drawn dipoles, over the
+        drawn scale, is verify's sqrtR to the SVG's rounding: the figure
+        is drawn in the --score rule's own triangle."""
+        out_path = tmp_path / "rel.svg"
+        run_json(runner, ["render-reliability", "-i", dataset_json, "-o", str(out_path),
+                          "--score", score, "--threshold", "0"])
+        want = run_json(runner, ["verify", "-i", dataset_json, "--score", score])["sqrtR"]
+        ns = "{http://www.w3.org/2000/svg}"
+        root = ET.parse(out_path).getroot()
+        # the outlines are drawn black, the main triangle's last: "M x y L x y L x y Z"
+        outline = [p for p in root.iter(f"{ns}path") if p.get("stroke") == "#000000"][-1]
+        xs = [float(x) for x in outline.get("d").split()[1::3]]
+        Mhat = (brier_rule() if score == "brier" else rps_rule()).Mhat
+        scale = (max(xs) - min(xs)) / (Mhat[0].max() - Mhat[0].min())
+        layer = [g for g in root.iter(f"{ns}g") if g.get("id") == "dipoles"][0]
+        lengths = np.array([math.dist((float(ln.get("x1")), float(ln.get("y1"))),
+                                      (float(ln.get("x2")), float(ln.get("y2"))))
+                            for ln in layer.iter(f"{ns}line")])
+        counts = bin_forecasts(pairs_from_dataset(frozen_dataset()), 11).counts
+        rms = math.sqrt((counts * lengths**2).sum() / counts.sum())
+        assert rms / scale == pytest.approx(want, rel=1e-5)
+
+
+class TestSkillCircleRelations:
+    def test_radius_is_verify_skill_of_the_location(self, runner, dataset_json, tmp_path):
+        """Each circle's radius over cell size times circle scale is
+        (sqrtZ - sqrtR) / sqrtZ from verify run on that location's records
+        alone, to the SVG's four decimals."""
+        records = json.loads(Path(dataset_json).read_bytes())["records"]
+        skill = {}
+        for loc in {(r["lat"], r["lon"]) for r in records}:
+            path = tmp_path / "loc.json"
+            path.write_text(json.dumps(
+                {"records": [r for r in records if (r["lat"], r["lon"]) == loc]}))
+            out = run_json(runner, ["verify", "-i", str(path), "--nbins", "5"])
+            skill[loc] = (out["sqrtZ"] - out["sqrtR"]) / out["sqrtZ"]
+        map_path = tmp_path / "map.svg"
+        run_json(runner, ["render-map", "-i", dataset_json, "-o", str(map_path),
+                          "--show-skill-circles", "--min-pairs", "1", "--nbins", "5",
+                          "--circle-scale", "1.5"])
+        ns = "{http://www.w3.org/2000/svg}"
+        # one circle per record at a location of positive skill, in record
+        # order; the legend draws none at the top level
+        radii = [float(c.get("r")) for c in ET.parse(map_path).getroot().findall(f"{ns}circle")]
+        want = [s for s in (skill[(r["lat"], r["lon"])] for r in records) if s > 0.0]
+        assert len(radii) == len(want) > 0
+        for r, s in zip(radii, want):
+            assert abs(r / (10.0 * 1.5) - s) <= 0.5e-4 / (10.0 * 1.5) + 1e-12

@@ -552,8 +552,10 @@ class TestRecordValidation:
         {"members": [1.0, 2.0], "series": []},
         {"members": [1.0, math.nan]},
         {"pB": 0.2, "pN": 0.3, "pA": 0.5, "obs_value": math.inf},
+        {"pB": 0.2, "pN": 0.3, "pA": 0.5, "lat": True},
+        {"mu": True, "sigma": 2.0, "mu_c": 5.0, "sigma_c": 2.0},
     ], ids=["obs-and-obs-value", "sigma-zero", "nan-gaussian", "no-members", "no-series",
-            "nan-member", "infinite-obs-value"])
+            "nan-member", "infinite-obs-value", "bool-lat", "bool-gaussian"])
     def test_constructor_rejects_what_the_parser_rejects(self, obj):
         """A record that write_json could write but parse_json would reject
         cannot be built, and its message is the parser's."""
@@ -563,6 +565,31 @@ class TestRecordValidation:
         with pytest.raises(SchemaError) as built:
             ForecastRecord(**_record_fields(obj))
         assert str(parsed.value).endswith(": " + str(built.value))
+
+    @pytest.mark.parametrize("fields", [
+        {"members": (1.0,), "obs_value": 2**53 + 1},
+        {"ternary": datasets.TernaryProb(True, False, False)},
+        {"ternary": UNIFORM, "lat": np.float32(1.5), "lon": np.int64(-7)},
+        {"members": [1.0, 2.0], "series": [3, 4.5]},
+    ], ids=["int-beyond-2**53", "bool-triple", "numpy-lat-lon", "list-arrays"])
+    def test_built_record_reads_back_equal(self, fields):
+        """The constructor stores every number as a Python float, so what
+        write_json writes parse_json reads back equal."""
+        rec = ForecastRecord(**{"lat": 0.0, "lon": 0.0, **fields})
+        ds = Dataset(records=(rec,), q=datasets.TernaryProb(False, True, False))
+        assert parse_json(write_json(ds)) == ds
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"ternary": UNIFORM, "obs": "B"}, "obs must be an ObsCategory"),
+        ({"ternary": (0.2, 0.3, 0.5)}, "ternary must be a TernaryProb"),
+    ], ids=["str-obs", "tuple-ternary"])
+    def test_constructor_rejects_what_write_json_cannot_write(self, fields, message):
+        with pytest.raises(SchemaError, match=message):
+            ForecastRecord(lat=0.0, lon=0.0, **fields)
+
+    def test_dataset_q_is_a_ternary_prob(self):
+        with pytest.raises(SchemaError, match="q must be a TernaryProb"):
+            Dataset(records=(), q=(0.2, 0.3, 0.5))
 
     def test_dataset_metadata_maps_strings_to_strings(self):
         with pytest.raises(SchemaError, match="metadata must map strings to strings"):
@@ -599,11 +626,12 @@ def _record_fields(obj: dict) -> dict:
     return fields
 
 
-# mostly finite numbers, with the values the parser rejects mixed in; the
-# integers are ones a float holds exactly, as the parser reads every number
-# as a float (a larger one reads back rounded)
+# mostly finite numbers, with the values the parser rejects mixed in:
+# integers beyond what a float holds exactly, which the constructor
+# stores rounded as the parser reads them, and booleans, which both reject
 _any_number = st.one_of(
-    st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.integers(-2**53, 2**53),
+    st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.integers(-10**20, 10**20),
+    st.booleans(),
     st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf,
                      -math.inf, 10**400]),
 )
@@ -611,8 +639,8 @@ _any_number = st.one_of(
 
 @st.composite
 def _record_objects(draw) -> dict:
-    obj = {"lat": draw(st.floats(-90.0, 90.0) | st.integers(-90, 90)),
-           "lon": draw(st.floats(-180.0, 180.0) | st.integers(-180, 180))}
+    obj = {"lat": draw(st.floats(-90.0, 90.0) | st.integers(-90, 90) | st.booleans()),
+           "lon": draw(st.floats(-180.0, 180.0) | st.integers(-180, 180) | st.booleans())}
     kind = draw(st.sampled_from(("ternary", "gaussian", "ensemble")))
     if kind == "ternary":
         p = draw(st.sampled_from([(0.2, 0.3, 0.5), (1.0, 0.0, 0.0), UNIFORM.as_tuple()]))

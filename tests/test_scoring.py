@@ -20,6 +20,7 @@ from triscore import (
     uncertainty,
 )
 from triscore.errors import DegenerateTriangle, NegativeProbability, NotPositiveDefinite
+from triscore.scoring import unit_map
 
 from conftest import random_pd_rules, random_simplex, simplex_grid
 
@@ -107,6 +108,19 @@ class TestCustomRule:
         L = np.diag([1.0, 1.0, 1e-7])
         with pytest.raises((DegenerateTriangle, NotPositiveDefinite)):
             custom_rule(L)
+
+
+class TestUnitMap:
+    def test_brier_is_the_equilateral_literal(self, brier):
+        # element for element, bit for bit: Brier figures keep their bytes
+        want = [[0.0, 0.5, 1.0], [0.0, math.sqrt(3.0) / 2.0, 0.0]]
+        assert unit_map(brier).tolist() == want
+
+    def test_bounding_box_is_one_unit_wide(self, rps, rng):
+        for rule in [rps, *random_pd_rules(rng, 20)]:
+            M = unit_map(rule)
+            assert M[0].max() - M[0].min() == pytest.approx(1.0, rel=1e-15)
+            assert np.allclose(M * (rule.Mhat[0, 2] / M[0, 2]), rule.Mhat, rtol=1e-14, atol=0)
 
 
 class TestScore:

@@ -2,8 +2,12 @@ import math
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triscore import (
     Dataset,
@@ -20,11 +24,14 @@ from triscore import (
     render_forecast_map,
     render_palette_legend,
     render_reliability_diagram,
+    rps_rule,
     skill_radius,
 )
+from triscore import svg as svg_module
 from triscore.errors import DomainError, MissingVerificationHistory
+from triscore.scoring import unit_map
 
-from conftest import categorical_pairs, frozen_dataset
+from conftest import categorical_pairs, frozen_dataset, random_pd_rules
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -41,6 +48,24 @@ def assert_well_formed(svg: bytes):
 
 def fills(svg: bytes):
     return [m for m in HEX_RE.findall(svg.decode()) if m != "#"]
+
+
+def drawn_points(svg: bytes) -> list[tuple[float, float]]:
+    """Every point a figure places: line ends, circle centres, polygon
+    vertices, text anchors and each path's points (an arc's end point,
+    not its radii)."""
+    points = []
+    for el in ET.fromstring(svg).iter():
+        a = el.attrib
+        points += [(float(a[x]), float(a[y])) for x, y in
+                   (("x", "y"), ("x1", "y1"), ("x2", "y2"), ("cx", "cy")) if x in a]
+        points += [tuple(map(float, xy.split(","))) for xy in a.get("points", "").split()]
+        tokens = a.get("d", "").split()
+        for i, token in enumerate(tokens):
+            if token in ("M", "L", "A"):
+                j = i + (6 if token == "A" else 1)
+                points.append((float(tokens[j]), float(tokens[j + 1])))
+    return points
 
 
 def skill_history_dataset():
@@ -270,6 +295,61 @@ class TestReliabilityDiagram:
         assert n == 2
 
 
+class TestReliabilityGeometry:
+    """The main triangle is the scoring rule's own, and the figure stays
+    on its canvas at every size."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 25),
+           st.sampled_from(["brier", "rps", "random"]), st.integers(600, 3000),
+           st.integers(600, 1600))
+    def test_dipoles_measure_sqrt_R(self, seed, n, nbins, kind, width, height):
+        """The count-weighted RMS pixel length of the dipoles, divided by
+        the drawn scale, is sqrt(R) to 1e-12.  Sixty examples are enough:
+        the identity is exact algebra, so drawing through any other map
+        breaks it in nearly every example, and each example draws a fresh
+        dataset and, for a third of them, a fresh random rule."""
+        rng = np.random.default_rng(seed)
+        rule = {"brier": brier_rule, "rps": rps_rule,
+                "random": lambda: random_pd_rules(rng, 1)[0]}[kind]()
+        binned = bin_forecasts(categorical_pairs(rng, n, sharpen=1.5), nbins)
+        decomp = decompose(rule, binned)
+        boxes = []
+
+        class RecordedBox(svg_module._Box):
+            def __init__(self, *args):
+                super().__init__(*args)
+                boxes.append(self)
+
+        with mock.patch.object(svg_module, "_Box", RecordedBox):
+            render_reliability_diagram(binned, decomp,
+                                       RenderConfig(width, height, dipole_threshold=0), rule)
+        main = boxes[-1]  # the sharpness inset's box is made first
+        d = main.to_px(binned.centers) - main.to_px(binned.mean_obs)
+        rms = math.sqrt((binned.counts * (d**2).sum(axis=1)).sum() / binned.counts.sum())
+        scale = main.edge / (rule.Mhat[0].max() - rule.Mhat[0].min())
+        assert rms / scale == pytest.approx(decomp.sqrt_R, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["brier", "rps", "random"])
+    def test_every_point_inside_the_canvas(self, kind):
+        rules = {"brier": [brier_rule()], "rps": [rps_rule()],
+                 "random": random_pd_rules(np.random.default_rng(11), 6)}[kind]
+        # a corner beyond the base's ends, drawn left of B or right of A
+        overhang = [M[0].min() < 0.0 or M[0].max() > M[0, 2] for M in map(unit_map, rules)]
+        assert kind != "random" or any(overhang)
+        pairs = [ForecastObsPair(r.ternary, r.obs) for r in frozen_dataset().records]
+        for nbins in (1, 11, 50):
+            binned = bin_forecasts(pairs, nbins)
+            for rule in rules:
+                decomp = decompose(rule, binned)
+                for width, height in ((600, 600), (1300, 700), (3000, 600), (5000, 600),
+                                      (600, 1600), (3000, 1600)):
+                    config = RenderConfig(width, height, dipole_threshold=0)
+                    svg = render_reliability_diagram(binned, decomp, config, rule)
+                    for x, y in drawn_points(svg):
+                        assert 0.0 <= x <= width and 0.0 <= y <= height, (width, height, nbins)
+
+
 class TestGoldenFiles:
     """Byte-for-byte stability of the document types."""
 
@@ -301,15 +381,18 @@ class TestGoldenFiles:
         got = render_forecast_map(ds, RenderConfig(palette=params), overlay=overlay)
         assert got == (GOLDEN / name).read_bytes()
 
-    @pytest.mark.parametrize("name, nbins, threshold", [
-        ("reliability.svg", 11, 10), ("reliability_nbins5.svg", 5, 10),
+    @pytest.mark.parametrize("name, nbins, threshold, rule", [
+        ("reliability.svg", 11, 10, None), ("reliability_nbins5.svg", 5, 10, None),
         # a dipole for every occupied bin
-        ("reliability_all.svg", 11, 0), ("reliability_nbins1.svg", 1, 0),
-    ], ids=["nbins-11", "nbins-5", "nbins-11-all", "nbins-1-all"])
-    def test_reliability_golden(self, name, nbins, threshold):
+        ("reliability_all.svg", 11, 0, None), ("reliability_nbins1.svg", 1, 0, None),
+        # drawn in the RPS rule's right triangle
+        ("reliability_rps.svg", 11, 0, rps_rule()),
+    ], ids=["nbins-11", "nbins-5", "nbins-11-all", "nbins-1-all", "rps-nbins-11-all"])
+    def test_reliability_golden(self, name, nbins, threshold, rule):
         ds = frozen_dataset()
         pairs = [ForecastObsPair(r.ternary, r.obs) for r in ds.records]
         binned = bin_forecasts(pairs, nbins)
-        decomp = decompose(brier_rule(), binned)
-        got = render_reliability_diagram(binned, decomp, RenderConfig(dipole_threshold=threshold))
+        decomp = decompose(rule or brier_rule(), binned)
+        config = RenderConfig(dipole_threshold=threshold)
+        got = render_reliability_diagram(binned, decomp, config, rule)
         assert got == (GOLDEN / name).read_bytes()
