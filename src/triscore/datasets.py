@@ -26,6 +26,7 @@ from types import NoneType
 import numpy as np
 
 from .errors import (
+    DomainError,
     MissingClimatologySeries,
     MixedRepresentation,
     SchemaError,
@@ -104,9 +105,9 @@ def _check_metadata(metadata) -> None:
 class ForecastRecord:
     """One located forecast with optional observation and climatology.
 
-    Construction checks the rules the parsers check, with their messages,
-    and stores each number as a float, so every record that can be built
-    can be written and read back; the triple's values are taken as given.
+    Construction checks the parsers' record rules, in their order and with
+    their messages, and stores numbers as floats and the triple as
+    ``make_ternary`` returns it, so write_json's output reads back equal.
     """
 
     lat: float
@@ -119,13 +120,22 @@ class ForecastRecord:
     series: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if self.lat is None or self.lon is None:
+            raise SchemaError("record needs lat and lon")
         _check_representation(self.ternary, self.gaussian, self.members)
         floats = {"lat": _float(self.lat, "lat"), "lon": _float(self.lon, "lon")}
         if self.ternary is not None:
             if not isinstance(self.ternary, TernaryProb):
                 raise SchemaError(f"ternary must be a TernaryProb, got {self.ternary!r}")
-            floats["ternary"] = TernaryProb(*map(float, self.ternary.as_tuple()))
+            if None in self.ternary.as_tuple():
+                raise SchemaError("pB, pN, pA must all be present")
+            try:
+                floats["ternary"] = make_ternary(*self.ternary.as_tuple())
+            except DomainError as e:
+                raise SchemaError(str(e)) from None
         if self.gaussian is not None:
+            if len(self.gaussian) != len(_GAUSSIAN_FIELDS) or None in self.gaussian:
+                raise SchemaError("mu, sigma, mu_c, sigma_c must all be present")
             floats["gaussian"] = g = tuple(map(_float, self.gaussian, _GAUSSIAN_FIELDS))
             if g[1] <= 0.0 or g[3] <= 0.0:
                 raise SchemaError("sigma and sigma_c must be positive")
@@ -170,7 +180,8 @@ class Dataset:
     def __post_init__(self):
         if not isinstance(self.q, TernaryProb):
             raise SchemaError(f"q must be a TernaryProb, got {self.q!r}", "q")
-        object.__setattr__(self, "q", TernaryProb(*map(float, self.q.as_tuple())))
+        object.__setattr__(self, "records", tuple(self.records))
+        object.__setattr__(self, "q", make_climatology(self.q.as_tuple(), "q"))
         _check_metadata(self.metadata)
 
 
@@ -245,32 +256,18 @@ def _build_record(
     obs_value: float | None = None,
     series: tuple[float, ...] | None = None,
 ) -> ForecastRecord:
-    """Validate one parsed CSV row or JSON record and build it.
+    """Build one parsed CSV row or JSON record, its errors located at ``where``.
 
     Each field is a finite float, or None if absent; ``ternary`` and
-    ``gaussian`` hold one per field of their family.  Errors are located
-    at ``where``.
+    ``gaussian`` hold one per field of their family, and a family of
+    Nones is absent.
     """
+    ternary = None if ternary.count(None) == len(ternary) else TernaryProb(*ternary)
+    gaussian = None if gaussian.count(None) == len(gaussian) else tuple(gaussian)
     try:
-        if lat is None or lon is None:
-            raise SchemaError("record needs lat and lon")
-        if ternary.count(None) == len(ternary):
-            ternary = None
-        if gaussian.count(None) == len(gaussian):
-            gaussian = None
-        _check_representation(ternary, gaussian, members)
-        if ternary is not None:
-            if None in ternary:
-                raise SchemaError("pB, pN, pA must all be present")
-            ternary = make_ternary(*ternary)
-        elif gaussian is not None:
-            if None in gaussian:
-                raise SchemaError("mu, sigma, mu_c, sigma_c must all be present")
-            gaussian = tuple(gaussian)
         return ForecastRecord(lat, lon, ternary, gaussian, members, obs, obs_value, series)
-    except TriscoreError as e:
-        cls = type(e) if isinstance(e, SchemaError) else SchemaError
-        raise cls(str(e), where) from None
+    except SchemaError as e:
+        raise type(e)(str(e), where) from None
 
 
 def _obs_category(value):
@@ -492,19 +489,13 @@ def _json_cell(value) -> float | None:
 
 
 def _json_number(rec: dict, key: str, where: str) -> float | None:
-    number = _json_cell(rec.get(key))
-    if number is not None and math.isnan(number):
-        raise SchemaError(f"{key} must be a finite number", f"{where}.{key}")
-    return number
+    value = rec.get(key)
+    return None if value is None else _float(value, key, f"{where}.{key}")
 
 
 def _json_numbers(rec: dict, key: str, where: str) -> tuple[float, ...] | None:
     value = rec.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, list) or not value:
-        raise SchemaError(f"{key} must be a non-empty array", f"{where}.{key}")
-    return json_floats(value, key, f"{where}.{key}")
+    return None if value is None else json_floats(value, key, f"{where}.{key}")
 
 
 def _json_record(rec, where: str) -> ForecastRecord:
@@ -610,8 +601,8 @@ def _given(values: list | None, n: int) -> np.ndarray:
 
 
 def _plain_rows(n: int, fields: dict) -> np.ndarray:
-    """Mask of the ``n`` decoded rows that ``_build_record`` accepts
-    unchanged.
+    """Mask of the ``n`` decoded rows that the ``ForecastRecord``
+    constructor accepts unchanged.
 
     ``fields`` maps each number field to its per-row floats (None where
     absent, NaN where not a finite number), ``obs`` to categories and
@@ -636,10 +627,11 @@ def _plain_rows(n: int, fields: dict) -> np.ndarray:
     lat, lon = cols["lat"], cols["lon"]
     p = np.stack([cols[k] for k in _TERNARY_FIELDS], axis=1)
     g = np.stack([cols[k] for k in _GAUSSIAN_FIELDS], axis=1)
-    # no component below +0.0 and a sum, added left to right as
-    # make_ternary adds it, that needs no rescaling; NaN fails the sum
-    ternary = ~np.signbit(p).any(axis=1) & (
-        np.abs(p[:, 0] + p[:, 1] + p[:, 2] - 1.0) <= RESCALE_TOLERANCE)
+    # no component below +0.0 and a sum, added left to right as make_ternary
+    # adds it, that needs no rescaling; a NaN, inf or inf - inf sum fails it
+    with np.errstate(over="ignore", invalid="ignore"):
+        ternary = ~np.signbit(p).any(axis=1) & (
+            np.abs(p[:, 0] + p[:, 1] + p[:, 2] - 1.0) <= RESCALE_TOLERANCE)
     gaussian = ~np.isnan(g).any(axis=1) & (g[:, 1] > 0.0) & (g[:, 3] > 0.0)
     no_ternary, no_gaussian = np.isnan(p).all(axis=1), np.isnan(g).all(axis=1)
     members = _given(fields.get("members"), n)
@@ -693,12 +685,10 @@ def _record_object(rec: ForecastRecord) -> dict:
 
 
 def _record_line(rec: ForecastRecord) -> str:
-    """``json.dumps`` of the record's object, through one template for a
-    triple of finite floats with at most an obs label: what project writes."""
+    """``json.dumps`` of the record's object, through one ``%r`` template for a
+    triple with at most an obs label, what project writes; every number is a finite float."""
     lat, lon, p = rec.lat, rec.lon, rec.ternary
-    if (p is not None and rec.gaussian is rec.members is rec.series is rec.obs_value is None
-            and type(lat) is type(lon) is type(p.pB) is type(p.pN) is type(p.pA) is float
-            and math.isfinite(lat + lon + p.pB + p.pN + p.pA)):
+    if p is not None and rec.gaussian is rec.members is rec.series is rec.obs_value is None:
         obs = "" if rec.obs is None else f', "obs": "{rec.obs._value_}"'
         return '{"lat": %r, "lon": %r, "pB": %r, "pN": %r, "pA": %r%s}' % (
             lat, lon, p.pB, p.pN, p.pA, obs)

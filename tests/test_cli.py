@@ -28,8 +28,10 @@ from triscore import (
 )
 from triscore.cli import _decomposition_summary, main, run
 from triscore.errors import InvalidDecomposition
+from triscore.recalibration import QuadraticMap
 
 from conftest import frozen_dataset
+from test_datasets import assert_template_exact
 
 
 @pytest.fixture
@@ -211,6 +213,25 @@ class TestExitCodes:
     def test_missing_file_is_2(self, runner):
         result = runner.invoke(main, ["verify", "-i", "/nonexistent/x.csv"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("name, content, message", [
+        ("ds.json", '{"records": [{"lat": 0, "lon": 0, "pB": 1e308, "pN": 1e308, "pA": 0, '
+         '"obs": "B"}]}', "records[0]: probabilities sum to inf, not 1"),
+        ("ds.csv", "lat,lon,pB,pN,pA,obs\n0,0,1e308,1e308,0,B\n",
+         "row 2: probabilities sum to inf, not 1"),
+        ("ds.json", '{"records": [{"lat": 0, "lon": 0, "pB": 0, "pN": Infinity, '
+         '"pA": -Infinity, "obs": "B"}]}', "records[0].pN: pN must be a finite number"),
+        ("ds.csv", "lat,lon,pB,pN,pA,obs\n0,0,0,inf,-inf,B\n", "row 2: pN is not finite: 'inf'"),
+    ], ids=["json-overflow", "csv-overflow", "json-inf-minus-inf", "csv-inf-minus-inf"])
+    def test_triple_sum_beyond_the_floats_is_one_line_2(self, runner, tmp_path, name, content,
+                                                        message):
+        # numpy's overflow or invalid-value warning would be a second line, or
+        # under filterwarnings = error the exception that ends the command
+        path = tmp_path / name
+        path.write_text(content)
+        result = runner.invoke(main, ["score", "-i", str(path)])
+        assert_fails_cleanly(result, 2)
+        assert result.stderr == f"error: {message}\n"
 
     def test_directory_input_is_2(self, runner, tmp_path):
         assert_fails_cleanly(runner.invoke(main, ["score", "-i", str(tmp_path)]), 2)
@@ -1104,3 +1125,74 @@ class TestSkillCircleRelations:
         assert len(radii) == len(want) > 0
         for r, s in zip(radii, want):
             assert abs(r / (10.0 * 1.5) - s) <= 0.5e-4 / (10.0 * 1.5) + 1e-12
+
+
+class TestCommandRelations:
+    """Numbers that two commands report for the same data agree."""
+
+    @pytest.fixture(params=["frozen", "mixed"])
+    def source(self, request, tmp_path):
+        path = tmp_path / "in.json"
+        if request.param == "frozen":
+            path.write_bytes(write_json(frozen_dataset()))
+        else:
+            path.write_text(json.dumps({"records": mixed_records()}))
+        return str(path)
+
+    @pytest.mark.parametrize("nbins", [5, 11, 21])
+    @pytest.mark.parametrize("score", ["brier", "rps"])
+    def test_summaries_agree(self, runner, tmp_path, source, score, nbins):
+        common = ["-i", source, "--score", score]
+        binned = [*common, "--nbins", str(nbins)]
+        scored = run_json(runner, ["score", *common])
+        verified = run_json(runner, ["verify", *binned])
+        calibrated = run_json(runner, ["calibrate", *binned, "--holdout", "0"])
+        rendered = run_json(runner, ["render-reliability", *binned, "-o", str(tmp_path / "r.svg")])
+        before = calibrated["before"]
+        # bit for bit: each value's JSON text is its float's repr
+        assert set(verified) - set(before) == {"rule", "nbins"}
+        assert json.dumps({k: verified[k] for k in before}) == json.dumps(before)
+        n = verified["n_pairs"]
+        assert (scored["n_pairs"], before["n_pairs"], calibrated["after"]["n_pairs"],
+                calibrated["n_train"], calibrated["n_eval"]) == (n,) * 5
+        assert rendered["n_bins"] == verified["n_bins"]
+
+    def test_identity_map_keeps_the_triple(self, runner, tmp_path, source):
+        """pB~ and pA~ are pB and pA to the bit; pN~ = 1 - pB - pA is pN
+        to the rounding of one subtraction more."""
+        coeffs = tmp_path / "identity.json"
+        coeffs.write_text(json.dumps(list(QuadraticMap.identity().coeffs)))
+        plain, mapped = tmp_path / "plain.json", tmp_path / "mapped.json"
+        run_json(runner, ["project", "-i", source, "-o", str(plain)])
+        run_json(runner, ["project", "-i", source, "-o", str(mapped), "--apply-map", str(coeffs)])
+        before, after = (json.loads(path.read_bytes())["records"] for path in (plain, mapped))
+        assert len(before) == len(after) > 0
+        for x, y in zip(before, after):
+            assert [float.hex(x[k]) for k in ("lat", "lon", "pB", "pA")] == [
+                float.hex(y[k]) for k in ("lat", "lon", "pB", "pA")]
+            assert abs(x["pN"] - y["pN"]) <= 3.3e-16
+            assert x.get("obs") == y.get("obs")
+
+
+class TestProjectWritesThroughTheTemplate:
+    @pytest.mark.parametrize("mapped", [False, True], ids=["resolved", "mapped"])
+    @pytest.mark.parametrize("source", ["frozen", "mixed"])
+    def test_template_exact_for_projected_records(self, runner, tmp_path, monkeypatch, source,
+                                                  mapped):
+        """project's records hold exact finite floats, so each line it
+        writes is json.dumps of the record's object."""
+        src, coeffs = tmp_path / "in.json", tmp_path / "map.json"
+        if source == "frozen":
+            src.write_bytes(write_json(frozen_dataset()))
+        else:  # integer-valued lat and lon
+            src.write_text(json.dumps({"records": [
+                {**r, "lat": 0, "lon": i} for i, r in enumerate(mixed_records())]}))
+        coeffs.write_text(json.dumps([0.05, 0.9, 0, 0, 0, 0, 0.05, 0, 0.9, 0, 0, 0]))
+        written = []
+        monkeypatch.setattr("triscore.cli.write_json",
+                            lambda ds: written.append(ds) or write_json(ds))
+        out = tmp_path / "out.json"
+        run_json(runner, ["project", "-i", str(src), "-o", str(out)]
+                 + ["--apply-map", str(coeffs)] * mapped)
+        assert len(written) == 1 and out.read_bytes() == write_json(written[0])
+        assert_template_exact(written[0])

@@ -2,6 +2,7 @@ import codecs
 import dataclasses
 import json
 import math
+import re
 import struct
 from unittest import mock
 
@@ -595,29 +596,47 @@ class TestRecordValidation:
         with pytest.raises(SchemaError, match="metadata must map strings to strings"):
             Dataset(records=(), metadata={"a": 1})
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(st.data())
     def test_built_records_roundtrip(self, data):
-        """Every record the constructor accepts is read back equal from
-        write_json's output; every record it rejects, the parser rejects."""
+        """Every dataset the constructors accept is read back equal from
+        write_json's output; every one they reject, the parser rejects.
+
+        500 examples: in a tally of 11 000 draws, each outcome the strategy
+        aims at (accepted, renormalised by make_ternary, a triple off the
+        simplex, below zero or not finite, a partial or five-value family,
+        a number that is not one, a spread not above zero, obs with
+        obs_value, a q off the simplex) came up in 1.4 % of draws or more,
+        so a run draws each about seven times or more.
+        """
         obj = data.draw(_record_objects())
+        q = data.draw(_climatologies)
+        fields = _record_fields(obj)
+        # four JSON keys hold a Gaussian, so a fifth value has no JSON form
+        fifth = "gaussian" in fields and data.draw(st.integers(0, 9)) == 0
+        if fifth:
+            fields["gaussian"] += (data.draw(_any_number),)
         try:
-            rec = ForecastRecord(**_record_fields(obj))
+            rec = ForecastRecord(**fields)
+            records = data.draw(st.sampled_from(([rec], (rec,))))
+            ds = Dataset(records=records, q=datasets.TernaryProb(*q), metadata={"k": "v"})
         except SchemaError:
-            with pytest.raises(SchemaError):
-                parse_json(_as_json(obj))
+            if not fifth:
+                with pytest.raises(SchemaError):
+                    parse_json(json.dumps({"q": list(q), "records": [obj]}).encode())
         else:
-            ds = Dataset(records=(rec,), metadata={"k": "v"})
+            assert not fifth
             assert parse_json(write_json(ds)) == ds
 
 
 def _record_fields(obj: dict) -> dict:
-    """The ForecastRecord fields of a JSON record object."""
+    """The ForecastRecord fields of a JSON record object; the triple is
+    taken as given, so the constructor alone decides it."""
     fields = {"lat": obj["lat"], "lon": obj["lon"], "obs_value": obj.get("obs_value")}
-    if "pB" in obj:
-        fields["ternary"] = make_ternary(obj["pB"], obj["pN"], obj["pA"])
-    if "mu" in obj:
-        fields["gaussian"] = tuple(obj[k] for k in ("mu", "sigma", "mu_c", "sigma_c"))
+    if any(k in obj for k in ("pB", "pN", "pA")):
+        fields["ternary"] = datasets.TernaryProb(*(obj.get(k) for k in ("pB", "pN", "pA")))
+    if any(k in obj for k in ("mu", "sigma", "mu_c", "sigma_c")):
+        fields["gaussian"] = tuple(obj[k] for k in ("mu", "sigma", "mu_c", "sigma_c") if k in obj)
     for key in ("members", "series"):
         if key in obj:
             fields[key] = tuple(obj[key])
@@ -626,25 +645,42 @@ def _record_fields(obj: dict) -> dict:
     return fields
 
 
-# mostly finite numbers, with the values the parser rejects mixed in:
-# integers beyond what a float holds exactly, which the constructor
-# stores rounded as the parser reads them, and booleans, which both reject
-_any_number = st.one_of(
-    st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.integers(-10**20, 10**20),
-    st.booleans(),
-    st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf,
-                     -math.inf, 10**400]),
+def _mostly(common, odd):
+    """``common``, and ``odd`` one draw in ten."""
+    return st.integers(0, 9).flatmap(lambda k: odd if k == 0 else common)
+
+
+# finite numbers, among them integers beyond what a float holds exactly,
+# which the constructor stores rounded as the parser reads them; and the
+# values both reject: booleans, non-finite floats and integers beyond them
+_any_number = _mostly(
+    st.floats(-1e300, 1e300) | st.integers(-10**20, 10**20),
+    st.booleans() | st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, math.nan,
+                                     math.inf, -math.inf, 10**400]),
 )
+# triples on the simplex, within make_ternary's tolerances of it, and off
+# it; components that are negative, not finite or booleans
+_triple = st.one_of(
+    st.sampled_from([(0.2, 0.3, 0.5), (1.0, 0.0, 0.0), UNIFORM.as_tuple(), (0, 1, 0),
+                     (-0.0, 0.5, 0.5), (-1e-13, 0.5, 0.5), (0.2, 0.3, 0.5 + 1e-12),
+                     (0.1, 0.2, 0.7 - 1e-10), (0.6 + 1e-11, 0.3, -1e-13),
+                     (True, False, False), (0.5, 0.5, 0.5), (0.9, 0.9, 0.9),
+                     (-0.5, 1.0, 0.5), (1e308, 1e308, 0.0)]),
+    st.tuples(*[st.floats(-0.5, 1.5) | st.booleans()
+                | st.sampled_from([math.nan, math.inf, -math.inf, 1.7976931348623157e308])] * 3),
+)
+_climatologies = _mostly(st.sampled_from([UNIFORM.as_tuple(), (0.25, 0.5, 0.25)]),
+                         st.sampled_from([(0.5, 0.5, 0.5), (-0.5, 1.0, 0.5), (math.nan, 0.5, 0.5)]))
 
 
 @st.composite
 def _record_objects(draw) -> dict:
-    obj = {"lat": draw(st.floats(-90.0, 90.0) | st.integers(-90, 90) | st.booleans()),
-           "lon": draw(st.floats(-180.0, 180.0) | st.integers(-180, 180) | st.booleans())}
+    obj = {"lat": draw(_mostly(st.floats(-90.0, 90.0) | st.integers(-90, 90), st.booleans())),
+           "lon": draw(_mostly(st.floats(-180.0, 180.0) | st.integers(-180, 180),
+                               st.booleans()))}
     kind = draw(st.sampled_from(("ternary", "gaussian", "ensemble")))
     if kind == "ternary":
-        p = draw(st.sampled_from([(0.2, 0.3, 0.5), (1.0, 0.0, 0.0), UNIFORM.as_tuple()]))
-        obj.update(zip(("pB", "pN", "pA"), p))
+        obj.update(zip(("pB", "pN", "pA"), draw(_triple)))
     elif kind == "gaussian":
         obj.update(zip(("mu", "sigma", "mu_c", "sigma_c"),
                        (draw(_any_number) for _ in range(4))))
@@ -652,11 +688,78 @@ def _record_objects(draw) -> dict:
         obj["members"] = draw(st.lists(_any_number, max_size=4))
         if draw(st.booleans()):
             obj["series"] = draw(st.lists(_any_number, max_size=4))
+    if kind != "ensemble" and draw(st.integers(0, 9)) == 0:  # a partial family
+        del obj[draw(st.sampled_from([k for k in obj if k not in ("lat", "lon")]))]
     if draw(st.booleans()):
         obj["obs"] = draw(st.sampled_from("BNA"))
-    if draw(st.booleans()):
+    if draw(st.integers(0, 3)) == 0:
         obj["obs_value"] = draw(_any_number)
     return obj
+
+
+class TestConstructorsOwnTheRules:
+    """The ForecastRecord and Dataset constructors are the one place each
+    record rule is checked; the parser's per-row path adds the location."""
+
+    # built as given, (0.9, 0.9, 0.9) observed B would snap to lattice key
+    # (9, 9, 9) at nbins 11, and decompose would give S = 2.008 with U = 0
+    @pytest.mark.parametrize("p", [(0.5, 0.5, 0.5), (0.9, 0.9, 0.9), (-0.5, 1.0, 0.5)],
+                             ids=["sum-1.5", "sum-2.7", "negative"])
+    def test_triple_off_the_simplex(self, p):
+        obj = {"lat": 0.0, "lon": 0.0, **dict(zip(("pB", "pN", "pA"), p)), "obs": "B"}
+        with pytest.raises(SchemaError) as parsed:
+            parse_json(_as_json(obj))
+        with pytest.raises(SchemaError) as built:
+            ForecastRecord(**_record_fields(obj))
+        assert str(parsed.value) == f"records[0]: {built.value}"
+
+    def test_triple_not_finite(self):
+        with pytest.raises(SchemaError, match="^pB is not finite: nan$"):
+            ForecastRecord(lat=0.0, lon=0.0, ternary=datasets.TernaryProb(math.nan, 0.5, 0.5))
+
+    def test_triple_stored_as_make_ternary_returns_it(self):
+        for p in ((-0.0, 0.5, 0.5), (-1e-13, 0.5, 0.5), (0.2, 0.3, 0.5 + 1e-12), (0, 1, 0)):
+            rec = ForecastRecord(lat=0.0, lon=0.0, ternary=datasets.TernaryProb(*p))
+            assert repr(rec.ternary) == repr(make_ternary(*p))
+
+    @pytest.mark.parametrize("gaussian", [(1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0, 5.0)],
+                             ids=["three", "five"])
+    def test_gaussian_of_other_than_four_values(self, gaussian):
+        with pytest.raises(SchemaError, match="^mu, sigma, mu_c, sigma_c must all be present$"):
+            ForecastRecord(lat=0.0, lon=0.0, gaussian=gaussian)
+
+    def test_missing_lat(self):
+        with pytest.raises(SchemaError, match="^record needs lat and lon$"):
+            ForecastRecord(lat=None, lon=0.0, ternary=UNIFORM)
+
+    def test_dataset_q_off_the_simplex(self):
+        with pytest.raises(SchemaError) as built:
+            Dataset(records=(), q=datasets.TernaryProb(0.5, 0.5, 0.5))
+        with pytest.raises(SchemaError) as parsed:
+            parse_json(b'{"q": [0.5, 0.5, 0.5], "records": []}')
+        assert str(built.value) == str(parsed.value) == (
+            "q: invalid climatology q: probabilities sum to 1.5, not 1")
+
+    def test_records_given_as_a_list_read_back_equal(self):
+        rec = ForecastRecord(lat=0.0, lon=0.0, ternary=make_ternary(0.2, 0.3, 0.5))
+        ds = Dataset(records=[rec])
+        assert ds.records == (rec,)
+        assert parse_json(write_json(ds)) == ds
+
+    def test_per_row_path_checks_each_row_once(self):
+        calls = []
+        check = datasets._check_representation
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        with mock.patch.object(datasets, "_check_representation", counted):
+            rec = datasets._build_record("row 2", 0.0, 0.0, [0.2, 0.3, 0.5 + 1e-12], [None] * 4)
+            with pytest.raises(SchemaError, match="^row 3: probabilities sum to 1.5, not 1$"):
+                datasets._build_record("row 3", 0.0, 0.0, [0.5, 0.5, 0.5], [None] * 4)
+        assert len(calls) == 2
+        assert rec.ternary == make_ternary(0.2, 0.3, 0.5 + 1e-12)
 
 
 _ALL_COLUMNS = ("lat", "lon", "pB", "pN", "pA", "mu", "sigma", "mu_c", "sigma_c",
@@ -1080,6 +1183,15 @@ def _dumped_lines(ds: Dataset) -> list[str]:
     return [line + "," for line in lines[:-1]] + lines[-1:]
 
 
+def assert_template_exact(ds: Dataset) -> None:
+    """Every record of ``ds`` holds a triple of exact finite floats, and
+    each line write_json writes is json.dumps of the record's object."""
+    for rec in ds.records:
+        for value in (rec.lat, rec.lon, *rec.ternary.as_tuple()):
+            assert type(value) is float and math.isfinite(value)
+    assert write_json(ds).decode("ascii").split("\n")[1:-2] == _dumped_lines(ds)
+
+
 class TestWriteJson:
     @settings(max_examples=200, deadline=None)
     @given(_datasets())
@@ -1093,20 +1205,48 @@ class TestWriteJson:
         else:
             assert len(lines) == 1 and lines[0].endswith('"records": []}')
 
-    @pytest.mark.parametrize("lat, lon, p", [
-        (1, -2, make_ternary(0.2, 0.3, 0.5)),
-        (1.5, -2.5, datasets.TernaryProb(0, 1, 0)),
-        (-0.0, 0.0, datasets.TernaryProb(-0.0, 1.0, 0.0)),
-        (5e-324, -1e-300, datasets.TernaryProb(2.2250738585072014e-308, 1e-17, 1.0)),
-        (90.0, -180.0, datasets.TernaryProb(1e16, 1.7976931348623157e308, 123456789.0)),
-        (0.5, 0.5, datasets.TernaryProb(math.nan, math.inf, -math.inf)),
-        (0.5, 0.5, datasets.TernaryProb(np.float64(0.1), True, 0.9)),
+    @pytest.mark.parametrize("lat, lon, p, error", [
+        (1, -2, make_ternary(0.2, 0.3, 0.5), None),
+        (1.5, -2.5, datasets.TernaryProb(0, 1, 0), None),
+        (-0.0, 0.0, datasets.TernaryProb(-0.0, 1.0, 0.0), None),
+        (5e-324, -1e-300, datasets.TernaryProb(2.2250738585072014e-308, 1e-17, 1.0), None),
+        (90.0, -180.0, datasets.TernaryProb(1e16, 1.7976931348623157e308, 123456789.0),
+         "probabilities sum to 1.7976931348623157e+308, not 1"),
+        (0.5, 0.5, datasets.TernaryProb(math.nan, math.inf, -math.inf), "pB is not finite: nan"),
+        (0.5, 0.5, datasets.TernaryProb(np.float64(0.1), True, 0.9),
+         "probabilities sum to 2.0, not 1"),
     ], ids=["int-lat-lon", "int-triple", "negative-zero", "tiny", "huge", "non-finite",
             "float-subclass-and-bool"])
     @pytest.mark.parametrize("obs", [None, ObsCategory.N])
-    def test_records_built_directly(self, lat, lon, p, obs):
+    def test_records_built_directly(self, lat, lon, p, error, obs):
+        """A built record is written as json.dumps writes its object; a
+        triple off the simplex is not built."""
+        if error is not None:
+            with pytest.raises(SchemaError, match=f"^{re.escape(error)}$"):
+                ForecastRecord(lat=lat, lon=lon, ternary=p, obs=obs)
+            return
         ds = Dataset(records=(ForecastRecord(lat=lat, lon=lon, ternary=p, obs=obs),))
         assert write_json(ds).decode("ascii").split("\n")[1:-2] == _dumped_lines(ds)
+
+    @pytest.mark.parametrize("data, shallow", [
+        # integer-valued fields, which both decoders give as Python ints
+        (b'{"records": [{"lat": 1, "lon": -2, "pB": 0, "pN": 1, "pA": 0, "obs": "B"},'
+         b' {"lat": 0.5, "lon": 3, "pB": 0.2, "pN": 0.3, "pA": 0.5}]}', True),
+        (b'{"metadata": {"k": "a\\"b"}, "records": [{"lat": 1, "lon": -2, "pB": 0, "pN": 1,'
+         b' "pA": 0, "obs": "B"}, {"lat": 0.5, "lon": 3, "pB": 1, "pN": 0, "pA": 0}]}', False),
+        # make_ternary clamps or renormalises these on the per-row path
+        (b'{"records": [{"lat": 1, "lon": -2, "pB": -0.0, "pN": 1, "pA": 0},'
+         b' {"lat": 2, "lon": 0, "pB": 0.2, "pN": 0.3, "pA": 0.500000000001}]}', True),
+        (b"lat,lon,pB,pN,pA,obs\n1,-2,0,1,0,B\n0.5,3,0.2,0.3,0.5,\n2,0,-0.0,1,0,A\n", None),
+    ], ids=["orjson", "json-loads", "per-row", "csv"])
+    def test_template_exact_for_parsed_records(self, data, shallow):
+        """Every parsed record holds exact finite floats, so write_json's
+        template writes each as json.dumps writes its object."""
+        parse = parse_csv if shallow is None else parse_json
+        if shallow is not None:  # orjson decodes a shallow document, json.loads the rest
+            assert datasets._shallow(data) is shallow
+        ds = parse(data)
+        assert_template_exact(ds)
 
     @settings(max_examples=200, deadline=None)
     @given(_datasets())

@@ -15,7 +15,7 @@ import math
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triscore import parse_csv, parse_json
@@ -38,7 +38,8 @@ _odd = st.one_of(
     st.none(),
     st.text(max_size=3),
     st.sampled_from(["B", "n", " a ", "X", "1", "nan"]),
-    st.sampled_from([10**400, -(10**400), math.nan, math.inf, -math.inf, 1e308]),
+    st.sampled_from([10**400, -(10**400), math.nan, math.inf, -math.inf, 1e308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
     st.lists(st.one_of(_number, st.booleans(), st.just(math.nan)), max_size=4),
     st.dictionaries(st.text(max_size=2), _number, max_size=1),
 )
@@ -104,14 +105,19 @@ def _csv_documents(draw) -> bytes:
     return buf.getvalue().encode()
 
 
+# two large components in one triple are rare among generated documents,
+# and their sum overflows in the column pass: each parser gets one such
+# document every run
 @settings(max_examples=300, deadline=None)
 @given(_json_documents())
+@example(b'{"records": [{"lat": 0, "lon": 0, "pB": 1e308, "pN": 1e308, "pA": 0, "obs": "B"}]}')
 def test_parse_json_raises_only_package_errors(data):
     assert outcome(parse_json, data) == outcome(parse_json_reference, data)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_csv_documents())
+@example(b"lat,lon,pB,pN,pA,obs\r\n0,0,1.7976931348623157e308,1.7976931348623157e308,0,B\r\n")
 def test_parse_csv_raises_only_package_errors(data):
     assert outcome(parse_csv, data) == outcome(parse_csv_reference, data)
 
