@@ -317,12 +317,8 @@ def render_map(input_path, output_path, score_rule, nbins, m, theta0, anchors,
     )
     overlay = _load_overlay(overlay_path) if overlay_path else None
     data = render_forecast_map(dataset, config, _rule_by_name(score_rule), overlay)
-    drawn = data[:data.index(b'<g id="legend">')]
-    _finish({
-        "output": output_path,
-        "n_records": len(dataset.records),
-        "n_drawn": drawn.count(b"<circle " if show_skill_circles else b"<rect "),
-    }, output_path, data)
+    _finish({"output": output_path, "n_records": len(dataset.records), "n_drawn": data.n_drawn},
+            output_path, data)
 
 
 def _load_overlay(path: str) -> list[list[tuple[float, float]]]:
@@ -361,8 +357,7 @@ def render_reliability(input_path, output_path, score_rule, nbins, threshold, wi
     decomp = decompose(rule, binned)
     config = RenderConfig(width_px=width, height_px=height, dipole_threshold=threshold)
     data = render_reliability_diagram(binned, decomp, config, rule)
-    shown = int((binned.counts >= threshold).sum())
-    _finish({"output": output_path, "n_bins": len(binned.keys), "n_dipoles": shown},
+    _finish({"output": output_path, "n_bins": len(binned.keys), "n_dipoles": data.n_drawn},
             output_path, data)
 
 

@@ -93,14 +93,6 @@ def json_floats(values, what: str, where: str | None = None) -> tuple[float, ...
     return tuple(_float(value, f"{what}[{j}]", where) for j, value in enumerate(values))
 
 
-def _check_metadata(metadata) -> None:
-    """SchemaError unless metadata is a dict of strings to strings."""
-    if not isinstance(metadata, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
-    ):
-        raise SchemaError("metadata must map strings to strings", "metadata")
-
-
 @dataclass(frozen=True)
 class ForecastRecord:
     """One located forecast with optional observation and climatology.
@@ -130,7 +122,8 @@ class ForecastRecord:
             if None in self.ternary.as_tuple():
                 raise SchemaError("pB, pN, pA must all be present")
             try:
-                floats["ternary"] = make_ternary(*self.ternary.as_tuple())
+                floats["ternary"] = make_ternary(*map(_float, self.ternary.as_tuple(),
+                                                      _TERNARY_FIELDS))
             except DomainError as e:
                 raise SchemaError(str(e)) from None
         if self.gaussian is not None:
@@ -181,8 +174,12 @@ class Dataset:
         if not isinstance(self.q, TernaryProb):
             raise SchemaError(f"q must be a TernaryProb, got {self.q!r}", "q")
         object.__setattr__(self, "records", tuple(self.records))
-        object.__setattr__(self, "q", make_climatology(self.q.as_tuple(), "q"))
-        _check_metadata(self.metadata)
+        q = json_floats(self.q.as_tuple(), "q", "q")
+        object.__setattr__(self, "q", make_climatology(q, "q"))
+        if not isinstance(self.metadata, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in self.metadata.items()
+        ):
+            raise SchemaError("metadata must map strings to strings", "metadata")
 
 
 def _record_thresholds(record: ForecastRecord, q: TernaryProb) -> CategoryThresholds:
@@ -548,16 +545,11 @@ def parse_json(data: bytes) -> Dataset:
     if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
         raise SchemaError("top level must be an object with a 'records' array")
 
-    if "q" in doc:
-        qv = doc["q"]
-        if not (isinstance(qv, list) and len(qv) == 3):
-            raise SchemaError("q must be a 3-element array", "q")
-        q = make_climatology(json_floats(qv, "q", "q"), "q")
-    else:
-        q = UNIFORM
-
-    metadata = doc.get("metadata", {})
-    _check_metadata(metadata)
+    qv = doc.get("q", list(UNIFORM.as_tuple()))
+    if not (isinstance(qv, list) and len(qv) == 3):
+        raise SchemaError("q must be a 3-element array", "q")
+    # q, then the metadata, are checked before any record
+    head = Dataset(records=(), q=TernaryProb(*qv), metadata=doc.get("metadata", {}))
 
     records = doc["records"]
     # a record that is not an object decodes as one without lat
@@ -580,7 +572,7 @@ def parse_json(data: bytes) -> Dataset:
     rebuilt = {i: _json_record(records[i], f"records[{i}]")
                for i in np.flatnonzero(~plain).tolist()}
     del doc, records, objects  # the plain records are built from the columns
-    return Dataset(records=_build_records(fields, rebuilt), q=q, metadata=dict(metadata))
+    return Dataset(records=_build_records(fields, rebuilt), q=head.q, metadata=dict(head.metadata))
 
 
 def _obs_column(values: list) -> list:

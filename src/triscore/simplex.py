@@ -184,4 +184,5 @@ def ensemble_to_ternary(members: list[float], thresholds: CategoryThresholds) ->
     nB = sum(1 for m in members if m <= thresholds.xB)
     nA = sum(1 for m in members if m > thresholds.xA)
     nN = n - nB - nA
-    return make_ternary(nB / n, nN / n, nA / n)
+    # nN >= 0 as xB <= xA; the rounded fractions sum within 3 * 2**-53 < RESCALE_TOLERANCE of 1
+    return TernaryProb(nB / n, nN / n, nA / n)

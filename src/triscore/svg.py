@@ -19,7 +19,7 @@ from .colors import _EQUILATERAL_MHAT, PaletteParams, assign_color, hex_colors, 
 from .datasets import Dataset, resolve_dataset
 from .errors import DomainError, MissingVerificationHistory
 from .scoring import ScoringRule, brier_rule, unit_map
-from .simplex import TernaryProb, make_ternary
+from .simplex import TernaryProb
 from .verification import (
     BinnedStats,
     Decomposition,
@@ -111,8 +111,8 @@ def _legend(
     n = 3.0 * size
 
     def emit(a: int, b: int, c: int, k: int, corners: tuple[tuple[int, int], ...]) -> None:
-        # the corners' lattice indices sum to (3a + k, 3b + k, 3c + k)
-        p = make_ternary((3 * a + k) / n, (3 * b + k) / n, (3 * c + k) / n)
+        # corner indices sum to (3a+k, 3b+k, 3c+k); the quotients sum to 1 within 3 * 2**-53
+        p = TernaryProb((3 * a + k) / n, (3 * b + k) / n, (3 * c + k) / n)
         color = hsv_to_rgb(assign_color(p, q, params)).to_hex()
         pts = " ".join(vertex[v] for v in corners)
         out.append(f'<polygon points="{pts}" fill="{color}" stroke="{color}" stroke-width="0.5"/>')
@@ -127,7 +127,12 @@ def _legend(
     _cross(out, *box.to_px(q.as_array()).tolist(), max(3.0, box.edge * 0.02), _CROSS_COLOR)
 
 
-def _document(width: int, height: int, elements: list[str]) -> bytes:
+class Figure(bytes):
+    """An SVG document's bytes; ``n_drawn`` counts the marks it is made to
+    show: the map's cells or circles, the dipoles or the legend's cells."""
+
+
+def _document(width: int, height: int, elements: list[str], n_drawn: int) -> Figure:
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
@@ -136,7 +141,9 @@ def _document(width: int, height: int, elements: list[str]) -> bytes:
     # A "%.4f" number contains "-0.0000" only when it is a negative zero, and
     # nothing else in a figure can: labels have 3 decimals, colours are hex
     # and the dipole threshold is a non-negative int.
-    return text.replace("-0.0000", "0.0000").encode("utf-8")
+    figure = Figure(text.replace("-0.0000", "0.0000").encode("utf-8"))
+    figure.n_drawn = n_drawn
+    return figure
 
 
 def render_palette_legend(
@@ -157,7 +164,7 @@ def render_palette_legend(
     box = _Box(_EQUILATERAL_MHAT, margin, margin + edge * _EQUILATERAL_MHAT[1].max(), edge)
     out: list[str] = []
     _legend(out, q, params, size, box)
-    return _document(width, height, out)
+    return _document(width, height, out, size * size)
 
 
 def _geo_projection(
@@ -237,11 +244,12 @@ def render_forecast_map(
     forecasts, observations = resolve_dataset(dataset, observations=config.show_skill_circles)
     F = np.array([p.as_tuple() for p in forecasts])
 
-    out: list[str] = []
-    if config.show_skill_circles:
+    if config.show_skill_circles:  # before the colours, so a missing history is named first
         obs = np.array([-1 if o is None else o.index for o in observations])
         skill = _skill_by_record(locs, obs, F, config, rule)
-        colors = hex_colors(F, dataset.q, config.palette)
+    colors = hex_colors(F, dataset.q, config.palette)
+    out: list[str] = []
+    if config.show_skill_circles:
         for x, y, s, color in zip(xs.tolist(), ys.tolist(), skill.tolist(), colors):
             if s > 0.0:  # no circle for NaN skill
                 out.append(_CIRCLE % (x, y, circle_max * s, color))
@@ -249,8 +257,9 @@ def render_forecast_map(
         half = config.cell_size_px / 2.0
         side = "%.4f" % config.cell_size_px
         rect = f'<rect x="%.4f" y="%.4f" width="{side}" height="{side}" fill="%s"/>'
-        for x, y, color in zip(xs.tolist(), ys.tolist(), hex_colors(F, dataset.q, config.palette)):
+        for x, y, color in zip(xs.tolist(), ys.tolist(), colors):
             out.append(rect % (x - half, y - half, color))
+    n_drawn = len(out)  # the cells or circles, before the overlay and the legend
 
     lines = overlay or []
     points = np.array([pt for line in lines for pt in line], dtype=float).reshape(-1, 2)
@@ -266,7 +275,7 @@ def render_forecast_map(
     out.append('<g id="legend">')
     _legend(out, dataset.q, config.palette, 12, box)
     out.append("</g>")
-    return _document(config.width_px, config.height_px, out)
+    return _document(config.width_px, config.height_px, out, n_drawn)
 
 
 def _shade_for_count(count: int, max_count: int) -> str:
@@ -387,4 +396,4 @@ def render_reliability_diagram(
     out.append("</g>")
     out.append(_TEXT % (width - sharp_edge - 20.0, 40.0 + sharp_edge * eq_height,
                         f"threshold ={config.dipole_threshold}"))
-    return _document(width, height, out)
+    return _document(width, height, out, len(forecast_px))

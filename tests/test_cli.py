@@ -190,6 +190,11 @@ class TestExitCodes:
              "q: invalid climatology q: probabilities sum to 1.5, not 1"),
             ("meta.json", '{"metadata": {"a": 1}, "records": []}',
              "metadata: metadata must map strings to strings"),
+            # q, then the metadata, are named before a bad record
+            ("q-record.json", '{"q": [0.5, 0.5, 0.5], "metadata": {"a": 1}, '
+             '"records": [{"lat": 0}]}', "q: invalid climatology q: probabilities sum to 1.5, not 1"),
+            ("meta-record.json", '{"metadata": {"a": 1}, "records": [{"lat": true}]}',
+             "metadata: metadata must map strings to strings"),
         ]:
             (tmp_path / name).write_text(text)
             result = runner.invoke(main, ["verify", "-i", str(tmp_path / name)])

@@ -555,8 +555,11 @@ class TestRecordValidation:
         {"pB": 0.2, "pN": 0.3, "pA": 0.5, "obs_value": math.inf},
         {"pB": 0.2, "pN": 0.3, "pA": 0.5, "lat": True},
         {"mu": True, "sigma": 2.0, "mu_c": 5.0, "sigma_c": 2.0},
+        {"pB": math.nan, "pN": 0.5, "pA": 0.5},
+        {"pB": True, "pN": False, "pA": False},
     ], ids=["obs-and-obs-value", "sigma-zero", "nan-gaussian", "no-members", "no-series",
-            "nan-member", "infinite-obs-value", "bool-lat", "bool-gaussian"])
+            "nan-member", "infinite-obs-value", "bool-lat", "bool-gaussian", "nan-triple",
+            "bool-triple"])
     def test_constructor_rejects_what_the_parser_rejects(self, obj):
         """A record that write_json could write but parse_json would reject
         cannot be built, and its message is the parser's."""
@@ -569,15 +572,14 @@ class TestRecordValidation:
 
     @pytest.mark.parametrize("fields", [
         {"members": (1.0,), "obs_value": 2**53 + 1},
-        {"ternary": datasets.TernaryProb(True, False, False)},
         {"ternary": UNIFORM, "lat": np.float32(1.5), "lon": np.int64(-7)},
         {"members": [1.0, 2.0], "series": [3, 4.5]},
-    ], ids=["int-beyond-2**53", "bool-triple", "numpy-lat-lon", "list-arrays"])
+    ], ids=["int-beyond-2**53", "numpy-lat-lon", "list-arrays"])
     def test_built_record_reads_back_equal(self, fields):
         """The constructor stores every number as a Python float, so what
         write_json writes parse_json reads back equal."""
         rec = ForecastRecord(**{"lat": 0.0, "lon": 0.0, **fields})
-        ds = Dataset(records=(rec,), q=datasets.TernaryProb(False, True, False))
+        ds = Dataset(records=(rec,), q=datasets.TernaryProb(0.0, 1.0, 0.0))
         assert parse_json(write_json(ds)) == ds
 
     @pytest.mark.parametrize("fields, message", [
@@ -714,13 +716,33 @@ class TestConstructorsOwnTheRules:
         assert str(parsed.value) == f"records[0]: {built.value}"
 
     def test_triple_not_finite(self):
-        with pytest.raises(SchemaError, match="^pB is not finite: nan$"):
+        with pytest.raises(SchemaError, match="^pB must be a finite number$"):
             ForecastRecord(lat=0.0, lon=0.0, ternary=datasets.TernaryProb(math.nan, 0.5, 0.5))
 
     def test_triple_stored_as_make_ternary_returns_it(self):
         for p in ((-0.0, 0.5, 0.5), (-1e-13, 0.5, 0.5), (0.2, 0.3, 0.5 + 1e-12), (0, 1, 0)):
             rec = ForecastRecord(lat=0.0, lon=0.0, ternary=datasets.TernaryProb(*p))
             assert repr(rec.ternary) == repr(make_ternary(*p))
+
+    @pytest.mark.parametrize("p, where", [
+        (("0.5", "0.5", 0), 0), ((True, False, False), 0), ((np.bool_(True), 0.0, 0.0), 0),
+        ((10**400, 0, 0), 0), (("x", 0, 1), 0), ((0.0, np.bool_(True), 0.0), 1),
+    ], ids=["strings", "bools", "numpy-bool", "int-beyond-floats", "text", "numpy-bool-pN"])
+    def test_triple_and_q_not_finite_numbers(self, p, where):
+        """The triple and q go through the number rule before make_ternary,
+        with the parser's messages, not float()'s."""
+        name = ("pB", "pN", "pA")[where]
+        with pytest.raises(SchemaError, match=f"^{name} must be a finite number$"):
+            ForecastRecord(lat=0.0, lon=0.0, ternary=datasets.TernaryProb(*p))
+        message = f"q: q[{where}] must be a finite number"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            Dataset(records=(), q=datasets.TernaryProb(*p))
+        if not any(isinstance(v, np.bool_) for v in p):  # the rest have a JSON form
+            obj = {"lat": 0.0, "lon": 0.0, **dict(zip(("pB", "pN", "pA"), p))}
+            with pytest.raises(SchemaError, match=f"^records\\[0\\]\\.{name}: {name} must"):
+                parse_json(_as_json(obj))
+            with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+                parse_json(json.dumps({"q": list(p), "records": []}).encode())
 
     @pytest.mark.parametrize("gaussian", [(1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0, 5.0)],
                              ids=["three", "five"])
@@ -1212,9 +1234,9 @@ class TestWriteJson:
         (5e-324, -1e-300, datasets.TernaryProb(2.2250738585072014e-308, 1e-17, 1.0), None),
         (90.0, -180.0, datasets.TernaryProb(1e16, 1.7976931348623157e308, 123456789.0),
          "probabilities sum to 1.7976931348623157e+308, not 1"),
-        (0.5, 0.5, datasets.TernaryProb(math.nan, math.inf, -math.inf), "pB is not finite: nan"),
-        (0.5, 0.5, datasets.TernaryProb(np.float64(0.1), True, 0.9),
-         "probabilities sum to 2.0, not 1"),
+        (0.5, 0.5, datasets.TernaryProb(math.nan, math.inf, -math.inf),
+         "pB must be a finite number"),
+        (0.5, 0.5, datasets.TernaryProb(np.float64(0.1), True, 0.9), "pN must be a finite number"),
     ], ids=["int-lat-lon", "int-triple", "negative-zero", "tiny", "huge", "non-finite",
             "float-subclass-and-bool"])
     @pytest.mark.parametrize("obs", [None, ObsCategory.N])

@@ -163,6 +163,20 @@ def test_ensemble_boundary_members_break_low():
     assert p.as_tuple() == (0.5, 0.5, 0.0)
 
 
+def test_ensemble_fractions_need_no_renormalising():
+    """For every split of up to 60 members, (nB/n, nN/n, nA/n) is what
+    make_ternary returns for it: non-negative quotients of an exact unit sum
+    land within RESCALE_TOLERANCE of one, so ensemble_to_ternary builds the
+    triple as is."""
+    thresholds = CategoryThresholds(-0.5, 0.5)
+    for n in range(1, 61):
+        for nB in range(n + 1):
+            for nA in range(n + 1 - nB):
+                nN = n - nB - nA
+                got = ensemble_to_ternary([-1.0] * nB + [0.0] * nN + [1.0] * nA, thresholds)
+                assert repr(got) == repr(make_ternary(nB / n, nN / n, nA / n)), (nB, nN, nA)
+
+
 def test_observation_boundary_breaks_low():
     thr = CategoryThresholds(1.0, 2.0)
     assert thr.categorise(1.0) is ObsCategory.B

@@ -30,6 +30,7 @@ from triscore import (
 from triscore import svg as svg_module
 from triscore.errors import DomainError, MissingVerificationHistory
 from triscore.scoring import unit_map
+from triscore.simplex import RESCALE_TOLERANCE
 
 from conftest import categorical_pairs, frozen_dataset, random_pd_rules
 
@@ -396,3 +397,66 @@ class TestGoldenFiles:
         config = RenderConfig(dipole_threshold=threshold)
         got = render_reliability_diagram(binned, decomp, config, rule)
         assert got == (GOLDEN / name).read_bytes()
+
+
+class TestFigureCounts:
+    """Each figure counts the marks it draws where it draws them; the
+    result is still the document's bytes."""
+
+    @pytest.mark.parametrize("golden, circles, overlay", [
+        ("map_cells.svg", False, None),
+        ("map_circles.svg", True, None),
+        ("map_cells_overlay.svg", False,
+         [[(0.0, 0.0), (1.5, 2.25), (3.0, 4.0)], [(-1.0, 2.0), (0.5, 6.5)],
+          [(2.5, -0.75), (2.0, 1.0), (1.0, 3.0), (0.25, 4.5)]]),
+    ], ids=["cells", "circles", "cells-overlay"])
+    def test_map(self, golden, circles, overlay):
+        config = RenderConfig(show_skill_circles=circles, min_pairs_for_circle=10)
+        svg = render_forecast_map(frozen_dataset(), config, overlay=overlay)
+        assert isinstance(svg, bytes) and svg == (GOLDEN / golden).read_bytes()
+        main = svg.split(b'<g id="legend">')[0]
+        mark, other = (b"<circle ", b"<rect ") if circles else (b"<rect ", b"<circle ")
+        assert svg.n_drawn == main.count(mark) and main.count(other) == 0
+        if not circles:
+            assert svg.n_drawn == len(frozen_dataset().records)
+
+    @pytest.mark.parametrize("threshold, golden", [
+        (0, "reliability_all.svg"), (1, None), (10, "reliability.svg"), (10**9, None),
+    ], ids=["0", "1", "10", "1e9"])
+    def test_reliability(self, threshold, golden):
+        pairs = [ForecastObsPair(r.ternary, r.obs) for r in frozen_dataset().records]
+        binned = bin_forecasts(pairs, 11)
+        svg = render_reliability_diagram(binned, decompose(brier_rule(), binned),
+                                         RenderConfig(dipole_threshold=threshold))
+        assert isinstance(svg, bytes)
+        if golden is not None:
+            assert svg == (GOLDEN / golden).read_bytes()
+        dipoles = svg.split(b'<g id="dipoles">')[1].split(b"</svg>")[0]
+        assert svg.n_drawn == dipoles.count(b"<g>") == int((binned.counts >= threshold).sum())
+
+    @pytest.mark.parametrize("size", [1, 2, 24])
+    def test_palette_legend(self, size):
+        svg = render_palette_legend(UNIFORM, size=size)
+        assert isinstance(svg, bytes)
+        if size == 1:
+            assert svg == (GOLDEN / "legend_size1.svg").read_bytes()
+        assert svg.n_drawn == svg.count(b"<polygon") == size * size
+
+
+def test_legend_cells_need_no_renormalising():
+    """Every legend cell at sizes 1 to 500, ((3a+k)/3s, (3b+k)/3s, (3c+k)/3s),
+    is non-negative with a left-to-right sum within RESCALE_TOLERANCE of one:
+    the triple make_ternary would return unchanged, so _legend builds it as is."""
+    top = svg_module._MAX_LATTICE
+    # the pairs (a, b) with a + b < top, ordered by a + b: those with a + b < m are a prefix
+    b = np.concatenate([np.arange(d + 1) for d in range(top)])
+    a = np.repeat(np.arange(top), np.arange(1, top + 1)) - b
+    for size in range(1, top + 1):
+        n = 3.0 * size
+        for k in (1, 2):
+            m = size - k + 1  # a + b < m, so c = size - k - a - b >= 0
+            A, B = a[:m * (m + 1) // 2], b[:m * (m + 1) // 2]
+            C = size - k - A - B
+            assert C.min(initial=0) >= 0
+            total = (3 * A + k) / n + (3 * B + k) / n + (3 * C + k) / n
+            assert np.abs(total - 1.0).max(initial=0.0) <= RESCALE_TOLERANCE, (size, k)
