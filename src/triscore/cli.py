@@ -26,7 +26,6 @@ if "numpy" not in sys.modules and "OMP_NUM_THREADS" not in os.environ:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
-import numpy as np
 
 from . import __version__
 from .colors import PaletteParams
@@ -43,8 +42,8 @@ from .datasets import (
     resolve_dataset,
     write_json,
 )
-from .errors import DomainError, EmptyDataset, SchemaError, TriscoreError
-from .recalibration import QuadraticMap, apply_map, fit_map, recalibration_report
+from .errors import DomainError, EmptyDataset, SchemaError
+from .recalibration import QuadraticMap, fit_map, map_forecasts, recalibration_report
 from .scoring import ScoringRule, brier_rule, rps_rule, score
 from .svg import RenderConfig, render_forecast_map, render_palette_legend, render_reliability_diagram
 from .verification import BinnedStats, Decomposition, ForecastObsPair, bin_forecasts, decompose
@@ -186,19 +185,10 @@ def project(input_path, output_path, map_path, clip):
     """
     dataset = _read_dataset(input_path)
     mapping = _load_map(map_path) if map_path else None
+    forecasts, obs = resolve_dataset(dataset)
     n_off = 0
-    # an overflowing map gives a non-finite value, which fails as a domain error
-    with np.errstate(over="ignore", invalid="ignore"):
-        forecasts, obs = resolve_dataset(dataset)
-        if mapping is not None:
-            try:
-                for i, p in enumerate(forecasts):
-                    res = apply_map(mapping, p, clip=clip)
-                    n_off += not res.on_simplex
-                    # unclipped off-simplex values fail here as a domain error
-                    forecasts[i] = res.to_ternary()
-            except TriscoreError as e:
-                raise type(e)(f"records[{i}]: {e}") from None
+    if mapping is not None:
+        forecasts, n_off = map_forecasts(mapping, forecasts, clip=clip)
     # resolved from valid records, so valid too
     records = tuple(_valid_record(r.lat, r.lon, p, None, None, o, None, None)
                     for r, p, o in zip(dataset.records, forecasts, obs))

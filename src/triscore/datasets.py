@@ -464,25 +464,15 @@ def parse_csv(data: bytes) -> Dataset:
     return Dataset(records=_build_records(fields, rebuilt))
 
 
-def _json_float(value) -> float | None:
-    """A decoded JSON value as a float; None unless it is a finite number."""
-    if type(value) is float:
-        return value if math.isfinite(value) else None
-    if type(value) is int:
-        try:
-            return float(value)
-        except OverflowError:
-            return None
-    return None
-
-
 def _json_cell(value) -> float | None:
     """A decoded JSON field as a float; None if absent, NaN unless a
     finite number."""
     if value is None:
         return None
-    number = _json_float(value)
-    return math.nan if number is None else number
+    try:
+        return _float(value, "")
+    except SchemaError:
+        return math.nan
 
 
 def _json_number(rec: dict, key: str, where: str) -> float | None:
@@ -523,8 +513,10 @@ def _json_array(value):
         return _INVALID
     if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
         return tuple(value)
-    out = tuple(map(_json_float, value))
-    return _INVALID if None in out else out
+    try:
+        return json_floats(value, "")
+    except SchemaError:
+        return _INVALID
 
 
 def make_climatology(values, where: str | None = None) -> TernaryProb:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataset
+from .errors import EmptyDataset, TriscoreError
 from .scoring import AffineTernary, ScoringRule
 from .simplex import NEGATIVE_TOLERANCE, TernaryProb
 from .verification import (
@@ -77,6 +77,23 @@ def apply_map(mapping: QuadraticMap, p: TernaryProb, clip: bool = False) -> Affi
     if clip and not on_simplex and math.isfinite(tN):
         tB, tN, tA = _project3(tB, tN, tA)
     return AffineTernary(tB, tN, tA, on_simplex)
+
+
+def map_forecasts(mapping: QuadraticMap, forecasts: list, clip: bool = False) -> tuple[list, int]:
+    """Each forecast under the map (``clip`` as in apply_map) as a TernaryProb,
+    and how many the map sent off the simplex; a mapped value that is not one
+    fails as to_ternary does, its message prefixed ``records[i]``."""
+    mapped, n_off = [], 0
+    # an overflowing map gives a non-finite value, which to_ternary names
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for i, p in enumerate(forecasts):
+                res = apply_map(mapping, p, clip=clip)
+                n_off += not res.on_simplex
+                mapped.append(res.to_ternary())
+        except TriscoreError as e:
+            raise type(e)(f"records[{i}]: {e}") from None
+    return mapped, n_off
 
 
 def project_to_simplex(v: np.ndarray) -> tuple[float, float, float]:
@@ -182,9 +199,9 @@ def recalibration_report(
     if not pairs:
         raise EmptyDataset("no pairs to report on")
     F, obs = _pair_arrays(pairs)
-    mapped = [apply_map(mapping, pair.forecast, clip=True) for pair in pairs]
+    mapped, n_off = map_forecasts(mapping, [pair.forecast for pair in pairs], clip=True)
     binned_before = _binned(F, obs, nbins)
-    binned_after = _binned(np.array([res.to_ternary().as_tuple() for res in mapped]), obs, nbins)
+    binned_after = _binned(np.array([p.as_tuple() for p in mapped]), obs, nbins)
     X, Y = _regression(F, obs)
     return CalibrationReport(
         before=decompose(rule, binned_before),
@@ -193,5 +210,5 @@ def recalibration_report(
         binned_after=binned_after,
         mean_score_before=_mean_score(IDENTITY_COEFFS, X, Y, rule),
         mean_score_after=_mean_score(mapping.coeffs, X, Y, rule),
-        n_off_simplex=sum(not res.on_simplex for res in mapped),
+        n_off_simplex=n_off,
     )

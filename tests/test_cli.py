@@ -1162,6 +1162,25 @@ class TestCommandRelations:
                 calibrated["n_train"], calibrated["n_eval"]) == (n,) * 5
         assert rendered["n_bins"] == verified["n_bins"]
 
+    @pytest.mark.parametrize("nbins", [5, 11, 21])
+    @pytest.mark.parametrize("score", ["brier", "rps"])
+    def test_calibrated_map_projected_then_verified(self, runner, tmp_path, score, nbins):
+        """verify on what project --apply-map --clip writes under calibrate's
+        map gives calibrate's after-decomposition, bit for bit."""
+        src, cal, projected = (tmp_path / name for name in ("in.json", "cal.json", "out.json"))
+        dataset = frozen_dataset()
+        assert all(r.obs is not None for r in dataset.records)  # every record is a pair
+        src.write_bytes(write_json(dataset))
+        binned = ["--score", score, "--nbins", str(nbins)]
+        calibrated = run_json(runner, ["calibrate", "-i", str(src), *binned, "--holdout", "0",
+                                       "-o", str(cal)])
+        mapped = run_json(runner, ["project", "-i", str(src), "--apply-map", str(cal), "--clip",
+                                   "-o", str(projected)])
+        verified = run_json(runner, ["verify", "-i", str(projected), *binned])
+        after = calibrated["after"]
+        assert json.dumps({k: verified[k] for k in after}) == json.dumps(after)
+        assert mapped["n_off_simplex"] == calibrated["n_off_simplex"] > 0  # the clip acts
+
     def test_identity_map_keeps_the_triple(self, runner, tmp_path, source):
         """pB~ and pA~ are pB and pA to the bit; pN~ = 1 - pB - pA is pN
         to the rounding of one subtraction more."""

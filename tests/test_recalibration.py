@@ -20,10 +20,17 @@ from triscore import (
     rps_rule,
     score,
 )
-from triscore.errors import EmptyDataset
+from triscore.errors import DomainError, EmptyDataset, NotNormalised
 from triscore.scoring import AffineTernary, ScoringRule
 from triscore.simplex import NEGATIVE_TOLERANCE, TernaryProb
-from triscore.recalibration import _J, _features, _mean_score, _regression, project_to_simplex
+from triscore.recalibration import (
+    _J,
+    _features,
+    _mean_score,
+    _regression,
+    map_forecasts,
+    project_to_simplex,
+)
 from triscore.verification import _pair_arrays
 
 from conftest import CATS, categorical_pairs, random_pd_rules
@@ -152,6 +159,43 @@ class TestApplyMap:
             unclipped = apply_map(huge, make_ternary(*p))
         assert not all(map(math.isfinite, got.as_array()))
         assert _bits(got.as_array()) == _bits(want.as_array()) == _bits(unclipped.as_array())
+
+
+class TestMapForecasts:
+    """map_forecasts is apply_map at each forecast, with the off-simplex
+    count and the location of the first forecast that fails."""
+
+    MAPS = {
+        "identity": QuadraticMap.identity().coeffs,
+        "shrink": (1 / 6, 0.5, 0.0, 0, 0, 0, 1 / 6, 0.0, 0.5, 0, 0, 0),
+        "overshoot": (-0.2, 1.2, 0.0, 0, 0, 0, 0.0, 0.0, 1.0, 0, 0, 0),
+    }
+
+    @pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
+    @pytest.mark.parametrize("name", list(MAPS))
+    def test_is_apply_map_at_each_forecast(self, rng, name, clip):
+        m = QuadraticMap(self.MAPS[name])
+        ps = [make_ternary(*row) for row in rng.dirichlet((1, 1, 1), 300)]
+        off = [not apply_map(m, p).on_simplex for p in ps]
+        assert any(off) == (name == "overshoot")
+        if clip or not any(off):
+            got, n_off = map_forecasts(m, ps, clip=clip)
+            assert repr(got) == repr([apply_map(m, p, clip=clip).to_ternary() for p in ps])
+            assert n_off == sum(off)
+        else:
+            k = off.index(True)
+            assert k > 0  # so that records[0] would not pass
+            with pytest.raises(DomainError) as raised:
+                map_forecasts(m, ps)
+            with pytest.raises(type(raised.value)) as want:
+                apply_map(m, ps[k]).to_ternary()
+            assert str(raised.value) == f"records[{k}]: {want.value}"
+
+    def test_report_names_an_overflowing_map(self, brier):
+        # the map's terms overflow: a domain error, not numpy's RuntimeWarning
+        pairs = [ForecastObsPair(make_ternary(0.2, 0.3, 0.5), B)]
+        with pytest.raises(NotNormalised, match=r"^records\[0\]: pB is not finite: inf$"):
+            recalibration_report(pairs, QuadraticMap((1e308,) * 12), brier)
 
 
 class TestProjectToSimplex:
