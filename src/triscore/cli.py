@@ -174,8 +174,8 @@ def main():
 @click.option("--apply-map", "map_path", default=None,
               help="JSON file with 12 recalibration coefficients to apply.")
 @click.option("--clip/--no-clip", default=False, show_default=True,
-              help="Project recalibrated forecasts back onto the simplex; "
-                   "acts only with --apply-map.")
+              help="Move recalibrated forecasts that leave the simplex to its "
+                   "nearest point in Brier's triangle; acts only with --apply-map.")
 def project(input_path, output_path, map_path, clip):
     """Resolve every record to a ternary forecast; write a JSON dataset.
 
@@ -188,7 +188,7 @@ def project(input_path, output_path, map_path, clip):
     forecasts, obs = resolve_dataset(dataset)
     n_off = 0
     if mapping is not None:
-        forecasts, n_off = map_forecasts(mapping, forecasts, clip=clip)
+        forecasts, n_off = map_forecasts(mapping, forecasts, clip=brier_rule() if clip else None)
     # resolved from valid records, so valid too
     records = tuple(_valid_record(r.lat, r.lon, p, None, None, o, None, None)
                     for r, p, o in zip(dataset.records, forecasts, obs))

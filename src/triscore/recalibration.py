@@ -12,7 +12,8 @@ recalibrated value is linear in the coefficients, so the optimum is an
 ordinary linear least-squares solution; no iterative optimiser is
 needed; pB~ and pA~ share their six terms, so it is the same for every
 quadratic rule (see fit_map).  Mapped forecasts may leave the simplex,
-which is reported and can optionally be repaired by Euclidean projection.
+which is reported and can optionally be repaired by moving each to the
+nearest point of a scoring rule's own triangle (see map_forecasts).
 """
 
 import math
@@ -60,68 +61,64 @@ def _features(pB, pA) -> list:
     return [1.0, pB, pA, pB * pB, pB * pA, pA * pA]
 
 
-def apply_map(mapping: QuadraticMap, p: TernaryProb, clip: bool = False) -> AffineTernary:
-    """Evaluate the map at one forecast.
-
-    Returns the affine 3-vector together with an on-simplex flag; with
-    ``clip`` a finite result is Euclidean-projected onto the simplex
-    first (the flag still reports where the unclipped value landed).
-    """
+def apply_map(mapping: QuadraticMap, p: TernaryProb) -> AffineTernary:
+    """Evaluate the map at one forecast: the affine 3-vector together
+    with an on-simplex flag."""
     # numpy's dot, not a Python sum: the two round differently
     f = np.array(_features(p.pB, p.pA))
     tB = float(f.dot(mapping._cB))  # the same BLAS ddot as @, with less dispatch
     tA = float(f.dot(mapping._cA))
     tN = 1.0 - tB - tA
     on_simplex = tB >= NEGATIVE_TOLERANCE and tN >= NEGATIVE_TOLERANCE and tA >= NEGATIVE_TOLERANCE
-    # tN is finite only when all three are; an overflow stays for to_ternary to name
-    if clip and not on_simplex and math.isfinite(tN):
-        tB, tN, tA = _project3(tB, tN, tA)
     return AffineTernary(tB, tN, tA, on_simplex)
 
 
-def map_forecasts(mapping: QuadraticMap, forecasts: list, clip: bool = False) -> tuple[list, int]:
-    """Each forecast under the map (``clip`` as in apply_map) as a TernaryProb,
-    and how many the map sent off the simplex; a mapped value that is not one
-    fails as to_ternary does, its message prefixed ``records[i]``."""
-    mapped, n_off = [], 0
+def map_forecasts(
+    mapping: QuadraticMap, forecasts: list, clip: ScoringRule | None = None
+) -> tuple[list, int]:
+    """Each forecast under the map as a TernaryProb, and how many the map
+    sent off the simplex.  With a rule ``clip``, each finite off-simplex
+    value is first moved to the nearest point of that rule's triangle.
+    A mapped value that is not a TernaryProb fails as to_ternary does,
+    its message prefixed ``records[i]``."""
     # an overflowing map gives a non-finite value, which to_ternary names
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for i, p in enumerate(forecasts):
-                res = apply_map(mapping, p, clip=clip)
-                n_off += not res.on_simplex
-                mapped.append(res.to_ternary())
-        except TriscoreError as e:
-            raise type(e)(f"records[{i}]: {e}") from None
-    return mapped, n_off
+        mapped = [apply_map(mapping, p) for p in forecasts]
+        off = [i for i, res in enumerate(mapped) if not res.on_simplex]
+        # tN is finite only when all three are
+        rows = [i for i in off if math.isfinite(mapped[i].pN)] if clip is not None else []
+        if rows:
+            V = np.array([(mapped[i].pB, mapped[i].pN, mapped[i].pA) for i in rows])
+            for i, x in zip(rows, _clip(clip, V).tolist()):
+                mapped[i] = AffineTernary(*x, False)
+    try:
+        for i, res in enumerate(mapped):
+            mapped[i] = res.to_ternary()
+    except TriscoreError as e:
+        raise type(e)(f"records[{i}]: {e}") from None
+    return mapped, len(off)
 
 
-def project_to_simplex(v: np.ndarray) -> tuple[float, float, float]:
-    """Euclidean projection of a 3-vector onto the probability simplex."""
-    return _project3(float(v[0]), float(v[1]), float(v[2]))
+# edge e runs from corner e to corner e + 1 (mod 3): e_e + t d_e, t in [0, 1]
+_D = np.eye(3)[[1, 2, 0]] - np.eye(3)
+_E = np.arange(3)
 
 
-def _project3(v0: float, v1: float, v2: float) -> tuple[float, float, float]:
-    """The sort-based projection (Duchi et al. 2008) of (v0, v1, v2).
-
-    With the components sorted descending as u and their running sums
-    c, the shift is lam = (1 - c[rho]) / (rho + 1) for the last rho with
-    u[rho] + (1 - c[rho]) / (rho + 1) > 0; each result is v + lam, or
-    0.0 if that is below zero.  A NaN component makes every result NaN.
-    """
-    if v0 != v0 or v1 != v1 or v2 != v2:
-        return (math.nan, math.nan, math.nan)
-    u0, u1, u2 = sorted((v0, v1, v2), reverse=True)
-    c1 = u0 + u1
-    c2 = c1 + u2
-    if u2 + (1.0 - c2) / 3 > 0.0:
-        lam = (1.0 - c2) / 3
-    elif u1 + (1.0 - c1) / 2 > 0.0:
-        lam = (1.0 - c1) / 2
-    else:
-        lam = 1.0 - u0
-    # max returns its first argument for NaN (inf - inf), as np.maximum does
-    return (max(v0 + lam, 0.0), max(v1 + lam, 0.0), max(v2 + lam, 0.0))
+def _clip(rule: ScoringRule, V: np.ndarray) -> np.ndarray:
+    """The nearest simplex point, in the rule's own metric, to each row v
+    of V (k, 3), each summing to one with a component below zero: the x
+    on an edge that minimises (x - v)' L'L (x - v).  Edge e's point has
+    t = (v - e_e)' L'L d_e / d_e' L'L d_e clamped to [0, 1]; the edge kept
+    is the one where g = L'L (x - v) at the opposite corner most exceeds
+    its least value at the edge's own corners.  That excess, the multiplier
+    of x >= 0 there, is not negative only at the nearest point, and unlike
+    the squared distances it does not round to a tie near a corner."""
+    AD = _D @ rule.LtL  # row e: (L'L d_e)'
+    t = (V @ AD.T - AD.diagonal()) / np.einsum("ek,ek->e", _D, AD)
+    X = np.eye(3) + np.clip(t, 0.0, 1.0)[..., None] * _D  # (k, edge, 3)
+    G = (X - V[:, None, :]) @ rule.LtL
+    margin = G[:, _E, (_E + 2) % 3] - np.minimum(G[:, _E, _E], G[:, _E, (_E + 1) % 3])
+    return X[np.arange(len(V)), margin.argmax(axis=1)]
 
 
 # p~ - o = J (t - y), for the map's (tB, tA) and the observed B and A indicators y
@@ -192,14 +189,15 @@ def recalibration_report(
 ) -> CalibrationReport:
     """Decompose the score before and after applying a recalibration map.
 
-    Mapped forecasts that leave the simplex are counted and projected
-    back before binning (the decomposition needs simplex points); the
-    raw mean scores are reported unclipped.
+    Mapped forecasts that leave the simplex are counted and clipped to
+    the nearest point of the rule's triangle before binning (the
+    decomposition needs simplex points); the raw mean scores are
+    reported unclipped.
     """
     if not pairs:
         raise EmptyDataset("no pairs to report on")
     F, obs = _pair_arrays(pairs)
-    mapped, n_off = map_forecasts(mapping, [pair.forecast for pair in pairs], clip=True)
+    mapped, n_off = map_forecasts(mapping, [pair.forecast for pair in pairs], clip=rule)
     binned_before = _binned(F, obs, nbins)
     binned_after = _binned(np.array([p.as_tuple() for p in mapped]), obs, nbins)
     X, Y = _regression(F, obs)

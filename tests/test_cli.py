@@ -1198,6 +1198,102 @@ class TestCommandRelations:
             assert x.get("obs") == y.get("obs")
 
 
+    @staticmethod
+    def write_records(path, records):
+        """Triple records as JSON, or as CSV (an unobserved record's obs cell
+        empty); each value's text is its float's repr either way."""
+        if path.suffix == ".json":
+            path.write_text(json.dumps({"records": records}))
+        else:
+            path.write_text("lat,lon,pB,pN,pA,obs\n" + "".join(
+                f"{r['lat']!r},{r['lon']!r},{r['pB']!r},{r['pN']!r},{r['pA']!r},"
+                f"{r.get('obs', '')}\n" for r in records))
+        return str(path)
+
+    @staticmethod
+    def random_records(rng, n, under_confident=False):
+        """n observed records, each outcome drawn from a Dirichlet(1, 1, 1)
+        truth that is the forecast, or with ``under_confident`` a
+        Dirichlet(0.6, 0.6, 0.6) truth shrunk to 0.35 truth + 0.65 / 3."""
+        truth = rng.dirichlet((0.6,) * 3 if under_confident else (1.0,) * 3, n)
+        forecasts = 0.35 * truth + 0.65 / 3 if under_confident else truth
+        return [{"lat": float(i % 7), "lon": float(i % 360 - 180),
+                 "pB": p[0], "pN": p[1], "pA": p[2], "obs": "BNA"[rng.choice(3, p=t)]}
+                for i, (t, p) in enumerate(zip(truth, forecasts.tolist()))]
+
+    # the commands whose stdout is a function of the pairs alone
+    PAIR_COMMANDS = (["score"], ["verify"], ["calibrate", "--holdout", "0"],
+                     ["calibrate", "--holdout", "0.25"])
+
+    def stdouts(self, runner, path, score):
+        results = [runner.invoke(main, [*command, "-i", path, "--score", score])
+                   for command in self.PAIR_COMMANDS]
+        assert all(r.exit_code == 0 for r in results), [r.output for r in results]
+        return [r.stdout for r in results]
+
+    @pytest.mark.parametrize("score", ["brier", "rps"])
+    def test_csv_and_json_agree(self, runner, tmp_path, score):
+        records = self.random_records(np.random.default_rng(3), 3000)
+        csv_out, json_out = (self.stdouts(runner, self.write_records(tmp_path / name, records),
+                                          score) for name in ("in.csv", "in.json"))
+        assert csv_out == json_out
+
+    @pytest.mark.parametrize("score", ["brier", "rps"])
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_unobserved_records_change_nothing(self, runner, tmp_path, suffix, score):
+        rng = np.random.default_rng(4)
+        records = self.random_records(rng, 1000)
+        mixed = list(records)
+        for unobserved in self.random_records(rng, 500):
+            del unobserved["obs"]
+            mixed.insert(int(rng.integers(len(mixed) + 1)), unobserved)
+        observed_out, mixed_out = (
+            self.stdouts(runner, self.write_records(tmp_path / f"{name}{suffix}", rs), score)
+            for name, rs in (("observed", records), ("mixed", mixed)))
+        assert observed_out == mixed_out
+
+    def on_mirror(self, runner, tmp_path, records, command, *args):
+        """The stdout of a command on the records, and on the records with
+        pB and pA swapped, and B and A."""
+        swap = {"B": "A", "N": "N", "A": "B"}
+        mirrored = [{**r, "pB": r["pA"], "pA": r["pB"], "obs": swap[r["obs"]]} for r in records]
+        return [run_json(runner, [command, "-i", self.write_records(tmp_path / name, rs), *args])
+                for name, rs in (("in.json", records), ("mirror.json", mirrored))]
+
+    @staticmethod
+    def assert_mirrored(got, mirror):
+        """The same S, U, Z, R and bin count, and the mean outcome reversed."""
+        for key in ("S", "U", "Z", "R"):
+            assert abs(got[key] - mirror[key]) <= 1e-12, key
+        assert got["q_bar"] == mirror["q_bar"][::-1]
+        assert got["n_bins"] == mirror["n_bins"]
+
+    @pytest.mark.parametrize("nbins", [5, 10, 11])
+    @pytest.mark.parametrize("score", ["brier", "rps"])
+    def test_verify_mirrors(self, runner, tmp_path, score, nbins):
+        """On forecasts without ties, mirroring the categories mirrors the
+        decomposition."""
+        records = self.random_records(np.random.default_rng(5), 1000)
+        self.assert_mirrored(*self.on_mirror(runner, tmp_path, records, "verify",
+                                             "--score", score, "--nbins", str(nbins)))
+
+    # C'k = C[_MIRROR[k]]: pB~ and pA~ swap, and so do pB and pA within each term
+    _MIRROR = [6, 8, 7, 11, 10, 9, 0, 2, 1, 5, 4, 3]
+
+    @pytest.mark.parametrize("score", ["brier", "rps"])
+    def test_calibrate_mirrors(self, runner, tmp_path, score):
+        """Under-confident forecasts, which the fitted map sends off the
+        simplex: mirroring the categories mirrors the map, and the
+        decomposition of the clipped forecasts under either rule's clip."""
+        records = self.random_records(np.random.default_rng(6), 1000, under_confident=True)
+        got, mirror = self.on_mirror(runner, tmp_path, records, "calibrate",
+                                     "--score", score, "--holdout", "0")
+        assert max(abs(got["coefficients"][k] - c)
+                   for k, c in zip(self._MIRROR, mirror["coefficients"])) <= 1e-12
+        assert got["n_off_simplex"] == mirror["n_off_simplex"] > 0  # the clip acts
+        self.assert_mirrored(got["after"], mirror["after"])
+
+
 class TestProjectWritesThroughTheTemplate:
     @pytest.mark.parametrize("mapped", [False, True], ids=["resolved", "mapped"])
     @pytest.mark.parametrize("source", ["frozen", "mixed"])

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -12,7 +12,9 @@ from triscore import (
     ObsCategory,
     QuadraticMap,
     apply_map,
+    bin_forecasts,
     brier_rule,
+    decompose,
     fit_map,
     make_ternary,
     mean_score_of_map,
@@ -25,11 +27,11 @@ from triscore.scoring import AffineTernary, ScoringRule
 from triscore.simplex import NEGATIVE_TOLERANCE, TernaryProb
 from triscore.recalibration import (
     _J,
+    _clip,
     _features,
     _mean_score,
     _regression,
     map_forecasts,
-    project_to_simplex,
 )
 from triscore.verification import _pair_arrays
 
@@ -65,6 +67,14 @@ def overconfident_pairs(rng, n):
         obs = CATS[rng.choice(3, p=tr)]
         pairs.append(ForecastObsPair(make_ternary(*sh), obs))
     return pairs
+
+
+def underconfident_pairs(rng, n):
+    """Forecasts 0.35 truth + 0.65 / 3 of a Dirichlet(0.6, 0.6, 0.6) truth,
+    whose fitted map sends some of them off the simplex."""
+    truth = rng.dirichlet((0.6, 0.6, 0.6), n)
+    return [ForecastObsPair(make_ternary(*(0.35 * t + 0.65 / 3)), CATS[rng.choice(3, p=t)])
+            for t in truth]
 
 
 def nelder_mead_best(pairs, rule, rng, restarts=20):
@@ -137,8 +147,8 @@ class TestApplyMap:
         raw = apply_map(overshoot, p)
         assert not raw.on_simplex
         assert raw.as_array().sum() == pytest.approx(1.0, abs=1e-12)
-        clipped = apply_map(overshoot, p, clip=True)
-        assert not clipped.on_simplex  # flag reports the unclipped location
+        (clipped,), n_off = map_forecasts(overshoot, [p], clip=brier_rule())
+        assert n_off == 1  # the count is of the unclipped values
         assert min(clipped.pB, clipped.pN, clipped.pA) >= 0.0
         assert clipped.pB + clipped.pN + clipped.pA == pytest.approx(1.0, abs=1e-12)
 
@@ -154,16 +164,22 @@ class TestApplyMap:
     def test_clip_leaves_overflow_unclipped(self, p):
         huge = QuadraticMap((1e308,) * 12)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = apply_map(huge, make_ternary(*p), clip=True)
-            want = apply_map_reference(huge, make_ternary(*p), clip=True)
-            unclipped = apply_map(huge, make_ternary(*p))
+            got = apply_map(huge, make_ternary(*p))
+            want = apply_map_reference(huge, make_ternary(*p))
         assert not all(map(math.isfinite, got.as_array()))
-        assert _bits(got.as_array()) == _bits(want.as_array()) == _bits(unclipped.as_array())
+        assert _bits(got.as_array()) == _bits(want.as_array())
+        # map_forecasts names the unclipped value, as to_ternary does
+        with pytest.raises(NotNormalised) as unclipped:
+            got.to_ternary()
+        with pytest.raises(NotNormalised, match=r"^records\[0\]: ") as clipped:
+            map_forecasts(huge, [make_ternary(*p)], clip=brier_rule())
+        assert str(clipped.value) == f"records[0]: {unclipped.value}"
 
 
 class TestMapForecasts:
-    """map_forecasts is apply_map at each forecast, with the off-simplex
-    count and the location of the first forecast that fails."""
+    """map_forecasts is apply_map at each forecast, clipped as the Brier
+    projection clips, with the off-simplex count and the location of the
+    first forecast that fails."""
 
     MAPS = {
         "identity": QuadraticMap.identity().coeffs,
@@ -171,17 +187,23 @@ class TestMapForecasts:
         "overshoot": (-0.2, 1.2, 0.0, 0, 0, 0, 0.0, 0.0, 1.0, 0, 0, 0),
     }
 
-    @pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
+    @pytest.mark.parametrize("clip", [None, brier_rule()], ids=["unclipped", "clipped"])
     @pytest.mark.parametrize("name", list(MAPS))
     def test_is_apply_map_at_each_forecast(self, rng, name, clip):
         m = QuadraticMap(self.MAPS[name])
         ps = [make_ternary(*row) for row in rng.dirichlet((1, 1, 1), 300)]
         off = [not apply_map(m, p).on_simplex for p in ps]
         assert any(off) == (name == "overshoot")
-        if clip or not any(off):
+        if clip is not None or not any(off):
             got, n_off = map_forecasts(m, ps, clip=clip)
-            assert repr(got) == repr([apply_map(m, p, clip=clip).to_ternary() for p in ps])
             assert n_off == sum(off)
+            for x, p, is_off in zip(got, ps, off):
+                res = apply_map(m, p)
+                if not is_off:  # bit for bit
+                    assert repr(x) == repr(res.to_ternary())
+                else:
+                    want = project_reference(res.as_array())
+                    assert np.abs(x.as_array() - want).max() <= 4.5e-16
         else:
             k = off.index(True)
             assert k > 0  # so that records[0] would not pass
@@ -196,21 +218,6 @@ class TestMapForecasts:
         pairs = [ForecastObsPair(make_ternary(0.2, 0.3, 0.5), B)]
         with pytest.raises(NotNormalised, match=r"^records\[0\]: pB is not finite: inf$"):
             recalibration_report(pairs, QuadraticMap((1e308,) * 12), brier)
-
-
-class TestProjectToSimplex:
-    def test_inside_is_fixed(self):
-        assert project_to_simplex(np.array([0.2, 0.5, 0.3])) == pytest.approx((0.2, 0.5, 0.3))
-
-    def test_projection_properties(self, rng):
-        for _ in range(200):
-            v = rng.uniform(-1, 2, 3)
-            w = np.array(project_to_simplex(v))
-            assert w.min() >= 0.0
-            assert w.sum() == pytest.approx(1.0, abs=1e-9)
-            # no simplex point is closer to v (spot check against random points)
-            for u in rng.dirichlet((1, 1, 1), 20):
-                assert np.linalg.norm(v - w) <= np.linalg.norm(v - u) + 1e-9
 
 
 class TestFitMap:
@@ -361,6 +368,21 @@ class TestRecalibrationReport:
         assert rep.n_off_simplex == 0  # corners are on the simplex
         assert rep.after.R > 0.0
 
+    def test_clips_in_the_rule_triangle(self, brier, rps):
+        """The report bins the mapped forecasts as map_forecasts clips them
+        in the report's own rule's triangle, not in Brier's."""
+        pairs = underconfident_pairs(np.random.default_rng(2), 500)
+        m = fit_map(pairs, rps)
+
+        def after(clip):
+            mapped, _ = map_forecasts(m, [p.forecast for p in pairs], clip=clip)
+            return decompose(rps, bin_forecasts(
+                [ForecastObsPair(f, p.obs) for f, p in zip(mapped, pairs)], 11))
+
+        rep = recalibration_report(pairs, m, rps, nbins=11)
+        assert rep.n_off_simplex > 0
+        assert rep.after == after(rps) != after(brier)
+
     def test_identity_holds_before_and_after(self, brier, rng):
         pairs = overconfident_pairs(rng, 500)
         rep = recalibration_report(pairs, fit_map(pairs, brier), brier, nbins=11)
@@ -369,8 +391,9 @@ class TestRecalibrationReport:
 
 
 def project_reference(v):
-    """The array projection with np.sort and np.cumsum: the reference
-    for the float projection."""
+    """The Euclidean projection onto the simplex (Duchi et al. 2008) with
+    np.sort and np.cumsum: the reference for the clip in Brier's
+    triangle, whose metric is Euclidean up to a factor."""
     with np.errstate(all="ignore"):  # inf and NaN inputs
         u = np.sort(v)[::-1]
         css = np.cumsum(u)
@@ -383,17 +406,15 @@ def project_reference(v):
     return (float(w[0]), float(w[1]), float(w[2]))
 
 
-def apply_map_reference(mapping, p, clip=False):
-    """The map with the coefficients converted and sliced per call and
-    the array projection: the reference for apply_map."""
+def apply_map_reference(mapping, p):
+    """The map with the coefficients converted and sliced per call: the
+    reference for apply_map."""
     f = np.array([1.0, p.pB, p.pA, p.pB * p.pB, p.pB * p.pA, p.pA * p.pA])
     c = np.asarray(mapping.coeffs)
     tB = float(f @ c[:6])
     tA = float(f @ c[6:])
     tN = 1.0 - tB - tA
     on_simplex = tB >= NEGATIVE_TOLERANCE and tN >= NEGATIVE_TOLERANCE and tA >= NEGATIVE_TOLERANCE
-    if clip and not on_simplex and all(map(math.isfinite, (tB, tN, tA))):
-        tB, tN, tA = project_reference(np.array([tB, tN, tA]))
     return AffineTernary(tB, tN, tA, on_simplex)
 
 
@@ -419,38 +440,110 @@ def _forecasts(draw):
     return make_ternary(a, b, max(0.0, 1.0 - a - b))
 
 
+def _sum_one(b, a):
+    """The vector (b, 1 - b - a, a), summing to one as a mapped forecast does."""
+    return np.array([b, 1.0 - b - a, a])
+
+
+# (pB~, pA~) of vectors off the simplex: past each corner, past each edge,
+# as far past B as past A, just past NEGATIVE_TOLERANCE, on an edge's
+# extension and far out, and two former fixed cases of the Euclidean
+# projection moved along (1, 1, 1) onto the sum-one plane
+_OFF_SIMPLEX = [
+    (1.5, -0.25), (-0.25, -0.25), (-0.25, 1.5),
+    (0.6, -0.2), (0.6, 0.6), (-0.2, 0.6), (2.0, 2.0),
+    (0.5, -2e-12), (1.2, -0.2), (2.0, 0.0), (1.0, -1.0), (-2.0, 1.5), (3.0, -1.0), (1e6, -1e6),
+    (1.5283700206318034, -1.0567400412636063), (1.5047237797142161, -1.0094475594284318),
+]
+_off_simplex = st.one_of(
+    st.sampled_from(_OFF_SIMPLEX),
+    st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    # a simplex point moved a little, as off-simplex mapped forecasts are
+    st.builds(lambda p, e: (p.pB + e[0], p.pA + e[1]),
+              _forecasts(), st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05))),
+).map(lambda ba: _sum_one(*ba)).filter(lambda v: v.min() < NEGATIVE_TOLERANCE)
+
+
 class TestFloatKernelsMatchReference:
     @settings(max_examples=1500, deadline=None)
-    @given(st.lists(_pooled, min_size=12, max_size=12), _forecasts(), st.booleans())
-    def test_apply_map(self, coeffs, p, clip):
+    @given(st.lists(_pooled, min_size=12, max_size=12), _forecasts())
+    def test_apply_map(self, coeffs, p):
         mapping = QuadraticMap(tuple(coeffs))
-        got, want = apply_map(mapping, p, clip=clip), apply_map_reference(mapping, p, clip=clip)
+        got, want = apply_map(mapping, p), apply_map_reference(mapping, p)
         assert got.on_simplex == want.on_simplex
         assert _bits(got.as_array()) == _bits(want.as_array())
 
-    @settings(max_examples=1500, deadline=None)
-    @given(st.one_of(
-        st.lists(st.one_of(
-            st.sampled_from(_POOL + (math.inf, -math.inf, math.nan, 1e308)),
-            st.floats(-3.0, 3.0), st.floats(allow_nan=False)), min_size=3, max_size=3),
-        # a simplex point moved a little, as off-simplex mapped forecasts are
-        st.builds(lambda p, shift, noise: [x + shift + e for x, e in zip(p.as_tuple(), noise)],
-                  _forecasts(), st.floats(-0.1, 0.1),
-                  st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3))))
-    def test_project_to_simplex(self, v):
-        v = np.array(v)
-        assert _bits(project_to_simplex(v)) == _bits(project_reference(v))
+    # the clip in Brier's triangle is the Euclidean projection, to the rounding
+    # of its other formula.  300 examples of up to 16 rows clip about 2 500
+    # vectors; this test and test_clip_lowers_every_score together take less
+    # time than the bit-exact test of the float projection took for its
+    # 1 500 single vectors
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_off_simplex, min_size=1, max_size=16))
+    # 5e-13 from corner A: comparing squared distances, which round to a tie
+    # there, picked the corner itself
+    @example([_sum_one(0.03125, 1.031249999999)])
+    def test_project_to_simplex(self, vs):
+        V = np.array(vs)
+        want = np.array([project_reference(v) for v in V])
+        assert np.abs(_clip(brier_rule(), V) - want).max() <= 4.5e-16
 
-    @pytest.mark.parametrize("v", [
-        (0.5, 0.5, 0.5), (0.0, 0.0, 0.0), (-0.0, 0.0, 1.0), (0.0, -0.0, 1.0), (1.0, 1.0, -1.0),
-        (2.0, -1.0, 0.0), (math.inf, -math.inf, 1.0), (-math.inf, math.inf, 1.0),
-        (1.0, -math.inf, math.inf), (math.nan, 0.2, 0.8), (0.2, 0.8, math.nan),
-        (1e308, 1e308, -1e308), (-0.0, -0.0, -0.0),
-        # the shift test of rho = 2, then of rho = 1, is exactly zero
-        (0.9289237831317347, 0.5609956869618402, 0.2449597350467875),
-        (2.9120685437784988, 1.9120685437784983, 0.32695848188308907),
-        (1.8897083774517072, 0.8897083774517069, -0.6244629616909407),
-    ])
+    @pytest.mark.parametrize("v", _OFF_SIMPLEX)
     def test_project_to_simplex_fixed_cases(self, v):
-        v = np.array(v)
-        assert _bits(project_to_simplex(v)) == _bits(project_reference(v))
+        V = _sum_one(*v)[None, :]
+        assert V.min() < NEGATIVE_TOLERANCE
+        assert np.abs(_clip(brier_rule(), V)[0] - project_reference(V[0])).max() <= 4.5e-16
+        for rule in (brier_rule(), rps_rule()):
+            assert_clip_properties(rule, V)
+
+
+def assert_clip_properties(rule, V):
+    """Each clipped row is a TernaryProb as it stands, scores no more than
+    its unclipped row against every outcome (to 1e-15 of the larger of the
+    score and 1), and is passed through by a second clip."""
+    X = _clip(rule, V)
+    for x, v in zip(X.tolist(), V.tolist()):
+        assert make_ternary(*x).as_tuple() == tuple(x)
+        assert not any(math.copysign(1.0, c) < 0 for c in x)  # no -0.0
+        for o in CATS:
+            unclipped = score(rule, AffineTernary(*v, False), o.to_ternary())
+            clipped = score(rule, TernaryProb(*x), o.to_ternary())
+            assert clipped <= unclipped + 1e-15 * max(1.0, unclipped)
+    # map_forecasts clips only the rows below NEGATIVE_TOLERANCE
+    assert X.min() >= 0.0
+
+
+_rules = st.one_of(
+    st.sampled_from([brier_rule(), rps_rule()]),
+    st.integers(0, 2**32 - 1).map(lambda seed: random_pd_rules(np.random.default_rng(seed), 1)[0]),
+)
+
+
+class TestClip:
+    """The clip moves an off-simplex vector to the nearest point of the
+    rule's own triangle, so it lowers its score against every outcome."""
+
+    # 300 examples of up to 16 rows, about 2 500 in all: about 75 examples
+    # each for Brier and RPS and 150 for random rules
+    @settings(max_examples=300, deadline=None)
+    @given(_rules, st.lists(_off_simplex, min_size=1, max_size=16))
+    def test_clip_lowers_every_score(self, rule, vs):
+        assert_clip_properties(rule, np.array(vs))
+
+    def test_rps_clip_where_the_euclidean_projection_fails(self, rps):
+        """Under-confident forecasts under the fitted map: the Euclidean
+        projection raises the RPS score of some clipped forecasts against
+        some outcome; the clip in RPS's triangle raises none."""
+        pairs = underconfident_pairs(np.random.default_rng(2), 500)
+        m = fit_map(pairs, rps)
+        mapped = [apply_map(m, p.forecast) for p in pairs]
+        V = np.array([res.as_array() for res in mapped if not res.on_simplex])
+        assert len(V) > 0
+
+        def n_raised(W):
+            return sum(any(score(rps, TernaryProb(*w), o.to_ternary())
+                           > score(rps, AffineTernary(*v, False), o.to_ternary()) + 1e-15
+                           for o in CATS) for w, v in zip(W.tolist(), V.tolist()))
+
+        assert n_raised(np.array([project_reference(v) for v in V])) > 0
+        assert n_raised(_clip(rps, V)) == 0

@@ -1,3 +1,4 @@
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -30,3 +31,26 @@ def test_same_outputs(tmp_path, cross_color, code):
     ])
     assert total == (f"{len(lines)} difference(s) in 3 command(s) and 4 file(s); "
                      "0 failed check(s)")
+
+
+@pytest.mark.parametrize("a, b, gap", [
+    (b'{"x": [1.0, 2.5], "n": 3}', b'{"x": [1.0000000000000002, 2.5], "n": 3}', 2.0**-52),
+    (b'{"x": [1.0, 2.5]}', b'{"x": [1.0, 2.0]}', 0.5),
+    (b'{"x": 1}', b'{"x": 1.5}', 0.5),
+    (b'[1.0, 2.0]', b'[1.0, 2.0]', 0.0),
+    (b'{"x": 1.0}', b'{"y": 1.0}', None),  # keys differ
+    (b'[1.0, 2.0]', b'[1.0]', None),  # lengths differ
+    (b'{"x": "a", "y": 1.0}', b'{"x": "b", "y": 2.0}', None),  # a string differs
+    (b'{"x": true}', b'{"x": 1}', None),  # a bool is not a number
+    (b'<svg/>', b'<svg />', None),  # not JSON
+], ids=["ulp", "list", "int-float", "equal", "keys", "lengths", "string", "bool", "not-json"])
+def test_number_gap(monkeypatch, a, b, gap):
+    """The largest absolute difference between the numbers of two JSON
+    documents that differ only in their numbers, else None."""
+    # importing the tool puts perfbench/ on sys.path and stops bytecode writes
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    spec = importlib.util.spec_from_file_location("same_outputs", SAME_OUTPUTS)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.number_gap(a, b) == gap

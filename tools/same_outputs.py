@@ -18,10 +18,13 @@ directory written as one placeholder, and leave the same bytes in every
 file of their work directories.  Each side's outputs must also pass the
 workload's own checks, so two sides that fail alike are not taken as a
 match.  One line is printed per difference or failed check, then the
-totals; the exit code is 0 only when there is neither.
+totals; the exit code is 0 only when there is neither.  A file that is
+JSON on both sides and differs only in its numbers has the largest
+absolute difference between them on its line.
 """
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -68,6 +71,28 @@ def _files(work: Path) -> dict[str, bytes]:
             for p in sorted(work.rglob("*")) if p.is_file()}
 
 
+def number_gap(a: bytes, b: bytes) -> float | None:
+    """The largest absolute difference between the numbers of two JSON
+    documents that differ in nothing else, or None."""
+    try:
+        docs = [json.loads(x) for x in (a, b)]
+    except (ValueError, RecursionError):
+        return None
+    gaps = [0.0]
+
+    def same_but_numbers(x, y) -> bool:
+        if isinstance(x, dict) and isinstance(y, dict):
+            return x.keys() == y.keys() and all(same_but_numbers(x[k], y[k]) for k in x)
+        if isinstance(x, list) and isinstance(y, list):
+            return len(x) == len(y) and all(map(same_but_numbers, x, y))
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+            gaps.append(abs(x - y) if x != y else 0.0)
+            return True
+        return type(x) is type(y) and x == y
+
+    return max(gaps) if same_but_numbers(*docs) else None
+
+
 def compare(parent_src: Path, names: list[str], seeds: list[int], scale: str,
             scratch: Path) -> int:
     """Print one line per difference between the two sides and per failed
@@ -96,9 +121,12 @@ def compare(parent_src: Path, names: list[str], seeds: list[int], scale: str,
                 n_commands += 1
             files = [_files(work) for work in works]
             for path in sorted(files[0].keys() | files[1].keys()):
-                if files[0].get(path) != files[1].get(path):
+                a, b = files[0].get(path), files[1].get(path)
+                if a != b:
                     n_diff += 1
-                    print(f"{name} seed {seed} {path}: bytes differ")
+                    gap = None if a is None or b is None else number_gap(a, b)
+                    note = "" if gap is None else f" (numbers by at most {gap:.3g})"
+                    print(f"{name} seed {seed} {path}: bytes differ{note}")
             n_files += len(files[0].keys() | files[1].keys())
     print(f"{n_diff} difference(s) in {n_commands} command(s) and {n_files} file(s); "
           f"{n_failed} failed check(s)")
