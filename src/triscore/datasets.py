@@ -346,9 +346,8 @@ def load_json(data: str | bytes, what: str):
         raise SchemaError(f"{what}: {e}") from None
 
 
-def _csv_float(cells: dict[str, str], name: str, where: str) -> float | None:
-    """The named cell as a finite float; None if it is empty or absent."""
-    text = cells.get(name)
+def _csv_float(text: str | None, name: str, where: str) -> float | None:
+    """A stripped cell as a finite float; None if it is empty or absent."""
     if not text:
         return None
     try:
@@ -400,22 +399,20 @@ def _csv_record(header: list[str], row: list[str], where: str) -> ForecastRecord
     cells = dict(zip(header, map(str.strip, row)))
     return _build_record(
         where,
-        _csv_float(cells, "lat", where),
-        _csv_float(cells, "lon", where),
-        [_csv_float(cells, c, where) for c in _TERNARY_FIELDS],
-        [_csv_float(cells, c, where) for c in _GAUSSIAN_FIELDS],
+        _csv_float(cells.get("lat"), "lat", where),
+        _csv_float(cells.get("lon"), "lon", where),
+        [_csv_float(cells.get(c), c, where) for c in _TERNARY_FIELDS],
+        [_csv_float(cells.get(c), c, where) for c in _GAUSSIAN_FIELDS],
         obs=_parse_obs_label(cells.get("obs") or None, where),
-        obs_value=_csv_float(cells, "obs_value", where),
+        obs_value=_csv_float(cells.get("obs_value"), "obs_value", where),
     )
 
 
 def _csv_cell(text: str) -> float | None:
-    """A stripped cell as a float; None if empty, NaN unless a number."""
-    if not text:
-        return None
+    """A stripped cell as a float; None if empty, NaN unless finite."""
     try:
-        return float(text)
-    except ValueError:
+        return _csv_float(text, "", "")
+    except SchemaError:
         return math.nan
 
 

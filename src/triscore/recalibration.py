@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import EmptyDataset, TriscoreError
 from .scoring import AffineTernary, ScoringRule
-from .simplex import NEGATIVE_TOLERANCE, TernaryProb
+from .simplex import TernaryProb
 from .verification import (
     BinnedStats,
     Decomposition,
@@ -62,15 +62,13 @@ def _features(pB, pA) -> list:
 
 
 def apply_map(mapping: QuadraticMap, p: TernaryProb) -> AffineTernary:
-    """Evaluate the map at one forecast: the affine 3-vector together
-    with an on-simplex flag."""
+    """Evaluate the map at one forecast: an affine 3-vector that may lie
+    off the simplex."""
     # numpy's dot, not a Python sum: the two round differently
     f = np.array(_features(p.pB, p.pA))
     tB = float(f.dot(mapping._cB))  # the same BLAS ddot as @, with less dispatch
     tA = float(f.dot(mapping._cA))
-    tN = 1.0 - tB - tA
-    on_simplex = tB >= NEGATIVE_TOLERANCE and tN >= NEGATIVE_TOLERANCE and tA >= NEGATIVE_TOLERANCE
-    return AffineTernary(tB, tN, tA, on_simplex)
+    return AffineTernary(tB, 1.0 - tB - tA, tA)
 
 
 def map_forecasts(
@@ -90,7 +88,7 @@ def map_forecasts(
         if rows:
             V = np.array([(mapped[i].pB, mapped[i].pN, mapped[i].pA) for i in rows])
             for i, x in zip(rows, _clip(clip, V).tolist()):
-                mapped[i] = AffineTernary(*x, False)
+                mapped[i] = AffineTernary(*x)
     try:
         for i, res in enumerate(mapped):
             mapped[i] = res.to_ternary()

@@ -35,17 +35,19 @@ class BaryPoint:
 
 @dataclass(frozen=True)
 class AffineTernary:
-    """A 3-vector summing to one that may lie off the simplex.
-
-    Produced by inverse maps that can land outside the triangle; the
-    ``on_simplex`` flag records whether no component is below
-    ``NEGATIVE_TOLERANCE``, which is when :meth:`to_ternary` accepts it.
-    """
+    """A 3-vector summing to one, from a map that may leave the simplex."""
 
     pB: float
     pN: float
     pA: float
-    on_simplex: bool
+
+    @property
+    def on_simplex(self) -> bool:
+        """Whether no component is below ``NEGATIVE_TOLERANCE``, which is
+        when :meth:`to_ternary` accepts the value."""
+        # a chain, not min(): min of a NaN depends on argument order
+        return (self.pB >= NEGATIVE_TOLERANCE and self.pN >= NEGATIVE_TOLERANCE
+                and self.pA >= NEGATIVE_TOLERANCE)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.pB, self.pN, self.pA])
@@ -195,8 +197,7 @@ def from_bary(rule: ScoringRule, P: BaryPoint) -> AffineTernary:
     """
     vec = rule.Minv @ P.as_array()
     vec[0] += 1.0  # + corner B
-    on_simplex = bool(np.all(vec >= NEGATIVE_TOLERANCE))
-    return AffineTernary(float(vec[0]), float(vec[1]), float(vec[2]), on_simplex)
+    return AffineTernary(*vec.tolist())
 
 
 def uncertainty(rule: ScoringRule, q: TernaryProb) -> float:

@@ -111,12 +111,12 @@ def parse_csv_reference(data: bytes) -> Dataset:
         cells = dict(zip(header, map(str.strip, row)))
         records.append(datasets._build_record(
             where,
-            number(cells, "lat", where),
-            number(cells, "lon", where),
-            [number(cells, c, where) for c in ("pB", "pN", "pA")],
-            [number(cells, c, where) for c in ("mu", "sigma", "mu_c", "sigma_c")],
+            number(cells.get("lat"), "lat", where),
+            number(cells.get("lon"), "lon", where),
+            [number(cells.get(c), c, where) for c in ("pB", "pN", "pA")],
+            [number(cells.get(c), c, where) for c in ("mu", "sigma", "mu_c", "sigma_c")],
             obs=datasets._parse_obs_label(cells.get("obs") or None, where),
-            obs_value=number(cells, "obs_value", where),
+            obs_value=number(cells.get("obs_value"), "obs_value", where),
         ))
     return Dataset(records=tuple(records))
 

@@ -1,7 +1,8 @@
-"""The package's lazy exports and the CLI's BLAS thread default.
+"""The package's lazy exports, the CLI's BLAS thread default and
+README's library example.
 
-Both are properties of interpreter start-up, so every case runs in a
-fresh interpreter.
+The first two are properties of interpreter start-up, so every case
+runs in a fresh interpreter; the example runs as a reader would run it.
 """
 
 import json
@@ -16,7 +17,8 @@ from triscore import write_json
 
 from conftest import frozen_dataset
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -112,3 +114,14 @@ class TestBlasThreadDefault:
         one, two = (run_python(args, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
         assert json.loads(one)["n_train"] == 240
         assert one == two
+
+
+def test_readme_library_example():
+    """The python block under README's ``## Library example`` runs, and
+    its first line prints sqrt S, U, Z and R with S = U - Z + R."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    first = run_python(["-c", code]).splitlines()[0]
+    S, U, Z, R = (float(x) ** 2 for x in first.split())
+    assert S == pytest.approx(U - Z + R, abs=1e-12)

@@ -165,7 +165,7 @@ class TestApplyMap:
         huge = QuadraticMap((1e308,) * 12)
         with np.errstate(over="ignore", invalid="ignore"):
             got = apply_map(huge, make_ternary(*p))
-            want = apply_map_reference(huge, make_ternary(*p))
+            want, _ = apply_map_reference(huge, make_ternary(*p))
         assert not all(map(math.isfinite, got.as_array()))
         assert _bits(got.as_array()) == _bits(want.as_array())
         # map_forecasts names the unclipped value, as to_ternary does
@@ -407,15 +407,16 @@ def project_reference(v):
 
 
 def apply_map_reference(mapping, p):
-    """The map with the coefficients converted and sliced per call: the
-    reference for apply_map."""
+    """The map with the coefficients converted and sliced per call, and
+    whether no component is below NEGATIVE_TOLERANCE: the reference for
+    apply_map and its on_simplex."""
     f = np.array([1.0, p.pB, p.pA, p.pB * p.pB, p.pB * p.pA, p.pA * p.pA])
     c = np.asarray(mapping.coeffs)
     tB = float(f @ c[:6])
     tA = float(f @ c[6:])
     tN = 1.0 - tB - tA
     on_simplex = tB >= NEGATIVE_TOLERANCE and tN >= NEGATIVE_TOLERANCE and tA >= NEGATIVE_TOLERANCE
-    return AffineTernary(tB, tN, tA, on_simplex)
+    return AffineTernary(tB, tN, tA), on_simplex
 
 
 def _bits(values) -> bytes:
@@ -469,8 +470,8 @@ class TestFloatKernelsMatchReference:
     @given(st.lists(_pooled, min_size=12, max_size=12), _forecasts())
     def test_apply_map(self, coeffs, p):
         mapping = QuadraticMap(tuple(coeffs))
-        got, want = apply_map(mapping, p), apply_map_reference(mapping, p)
-        assert got.on_simplex == want.on_simplex
+        got, (want, on_simplex) = apply_map(mapping, p), apply_map_reference(mapping, p)
+        assert got.on_simplex == on_simplex
         assert _bits(got.as_array()) == _bits(want.as_array())
 
     # the clip in Brier's triangle is the Euclidean projection, to the rounding
@@ -506,7 +507,7 @@ def assert_clip_properties(rule, V):
         assert make_ternary(*x).as_tuple() == tuple(x)
         assert not any(math.copysign(1.0, c) < 0 for c in x)  # no -0.0
         for o in CATS:
-            unclipped = score(rule, AffineTernary(*v, False), o.to_ternary())
+            unclipped = score(rule, AffineTernary(*v), o.to_ternary())
             clipped = score(rule, TernaryProb(*x), o.to_ternary())
             assert clipped <= unclipped + 1e-15 * max(1.0, unclipped)
     # map_forecasts clips only the rows below NEGATIVE_TOLERANCE
@@ -542,7 +543,7 @@ class TestClip:
 
         def n_raised(W):
             return sum(any(score(rps, TernaryProb(*w), o.to_ternary())
-                           > score(rps, AffineTernary(*v, False), o.to_ternary()) + 1e-15
+                           > score(rps, AffineTernary(*v), o.to_ternary()) + 1e-15
                            for o in CATS) for w, v in zip(W.tolist(), V.tolist()))
 
         assert n_raised(np.array([project_reference(v) for v in V])) > 0

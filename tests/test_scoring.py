@@ -19,6 +19,7 @@ from triscore import (
     to_bary,
     uncertainty,
 )
+from triscore import scoring
 from triscore.errors import DegenerateTriangle, NegativeProbability, NotPositiveDefinite
 from triscore.scoring import unit_map
 
@@ -103,10 +104,20 @@ class TestCustomRule:
             custom_rule(np.eye(3)).L = L
 
     def test_near_degenerate_triangle_rejected(self):
-        # nearly rank-2 L'L squeezes the triangle flat before the
-        # eigenvalue floor trips; either error is acceptable here
+        # nearly rank-2 L'L: its smallest eigenvalue, 1e-14, is below the
+        # floor, so this stops there; either error is acceptable here
         L = np.diag([1.0, 1.0, 1e-7])
         with pytest.raises((DegenerateTriangle, NotPositiveDefinite)):
+            custom_rule(L)
+
+    def test_collinear_triangle_rejected(self):
+        # L'L clears the eigenvalue floor, so only the triangle check can
+        # reject this rule: its sides (1e6, 1e6, 2e6) are collinear
+        L = np.array([[1e6, -1e6, 0.0], [0.0, 1e-5, -1e-5], [1.0, 1.0, 1.0]])
+        assert np.linalg.eigvalsh(L.T @ L).min() > 100 * scoring._EIGEN_FLOOR
+        b, n, a = (np.linalg.norm(L @ d) for d in np.eye(3)[[1, 2, 0]] - np.eye(3)[[2, 0, 1]])
+        assert a == pytest.approx(b + n, rel=1e-12)
+        with pytest.raises(DegenerateTriangle, match="collinear"):
             custom_rule(L)
 
 

@@ -44,13 +44,13 @@ def test_same_outputs(tmp_path, cross_color, code):
     (b'{"x": true}', b'{"x": 1}', None),  # a bool is not a number
     (b'<svg/>', b'<svg />', None),  # not JSON
 ], ids=["ulp", "list", "int-float", "equal", "keys", "lengths", "string", "bool", "not-json"])
-def test_number_gap(monkeypatch, a, b, gap):
+def test_number_gap(a, b, gap):
     """The largest absolute difference between the numbers of two JSON
-    documents that differ only in their numbers, else None."""
-    # importing the tool puts perfbench/ on sys.path and stops bytecode writes
-    monkeypatch.setattr(sys, "path", sys.path[:])
-    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    documents that differ only in their numbers, else None; loading the
+    tool leaves the importing process as it was."""
+    before = (sys.path[:], sys.dont_write_bytecode)
     spec = importlib.util.spec_from_file_location("same_outputs", SAME_OUTPUTS)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    assert (sys.path, sys.dont_write_bytecode) == before
     assert tool.number_gap(a, b) == gap

@@ -25,7 +25,7 @@ from triscore import (
 )
 from triscore.errors import EmptyDataset, InvalidDecomposition
 from triscore.simplex import RESCALE_TOLERANCE, SUM_TOLERANCE
-from triscore.verification import _pair_arrays
+from triscore.verification import _bin_arrays, _binned, _pair_arrays
 
 from conftest import CATS, categorical_pairs, random_pd_rules
 
@@ -378,6 +378,41 @@ class TestGroupedDecomposition:
             with pytest.raises(EmptyDataset):
                 decompose_by_group(brier, F[:len(group)], np.zeros(len(group), dtype=int),
                                    np.array(group, dtype=int))
+
+
+class TestReliabilityNoiseFloor:
+    """The per-location R of forecasts that are reliable by construction.
+
+    Each observation is drawn from its own Dirichlet(1, 1, 1) forecast, so
+    a bin's mean observation misses its centre c only by sampling noise:
+    a bin of k pairs adds about k/n * U(c)/k to the R of a location with
+    n pairs, and lattice snapping a little more.  The mean R over 200
+    locations is then (1/n) * sum of U(c) over each location's occupied
+    bins, and dwarfs the R of the same pairs pooled.  A single case's
+    ratio to that prediction is itself noisy, so the bounds are held over
+    every case at once: 3 seeds, both rules, 20 and 200 pairs per location
+    and nbins 11 and 21, which put the ratio between 0.9997 and 1.031 and
+    the per-location R at least 13 times the pooled R.  The 24 cases take
+    about a second in all.
+    """
+
+    @pytest.mark.parametrize("nbins", [11, 21])
+    @pytest.mark.parametrize("n", [20, 200])
+    @pytest.mark.parametrize("rule", [brier_rule(), rps_rule()], ids=["brier", "rps"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mean_r_is_sampling_noise(self, seed, rule, n, nbins):
+        n_loc = 200
+        rng = np.random.default_rng(seed)
+        F = rng.dirichlet((1, 1, 1), n_loc * n)
+        obs = (rng.random(len(F))[:, None] > np.cumsum(F[:, :2], axis=1)).sum(axis=1)
+        group = np.repeat(np.arange(n_loc), n)
+        R = np.mean([d.R for d in decompose_by_group(rule, F, obs, group, nbins)])
+        loc, bins = _bin_arrays(F, obs, group, nbins)
+        c = bins.centers
+        U = c @ np.diag(rule.LtL) - np.einsum("ij,jk,ik->i", c, rule.LtL, c)  # U(c), per bin
+        predicted = np.bincount(loc, weights=U).mean() / n
+        assert 0.98 <= R / predicted <= 1.06
+        assert R > 10 * decompose(rule, _binned(F, obs, nbins)).R
 
 
 class TestDecompose:

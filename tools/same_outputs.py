@@ -34,11 +34,18 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.dont_write_bytecode = True  # import the workloads without writing under perfbench/
-sys.path.insert(0, str(ROOT / "perfbench"))
-import workloads  # noqa: E402
-
 PLACEHOLDER = "<work>"
+
+
+def _load_workloads():
+    """``perfbench/workloads.py`` as a module, imported without writing
+    under ``perfbench/``; the process keeps ``perfbench/`` on ``sys.path``
+    and writes no bytecode from then on."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    return workloads
 
 
 def _parent_src(parent: str, scratch: Path) -> Path:
@@ -93,7 +100,7 @@ def number_gap(a: bytes, b: bytes) -> float | None:
     return max(gaps) if same_but_numbers(*docs) else None
 
 
-def compare(parent_src: Path, names: list[str], seeds: list[int], scale: str,
+def compare(workloads, parent_src: Path, names: list[str], seeds: list[int], scale: str,
             scratch: Path) -> int:
     """Print one line per difference between the two sides and per failed
     check; return their number."""
@@ -134,6 +141,7 @@ def compare(parent_src: Path, names: list[str], seeds: list[int], scale: str,
 
 
 def main() -> int:
+    workloads = _load_workloads()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="git ref, or a directory holding src/triscore")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
@@ -145,7 +153,7 @@ def main() -> int:
         scratch = Path(scratch)
         parent_src = _parent_src(args.parent, scratch)
         scale = "smoke" if args.smoke else "full"
-        return 1 if compare(parent_src, args.workload, args.seeds, scale, scratch) else 0
+        return 1 if compare(workloads, parent_src, args.workload, args.seeds, scale, scratch) else 0
 
 
 if __name__ == "__main__":
