@@ -42,7 +42,7 @@ from .datasets import (
     resolve_dataset,
     write_json,
 )
-from .errors import DomainError, EmptyDataset, SchemaError
+from .errors import DomainError, SchemaError
 from .recalibration import QuadraticMap, fit_map, map_forecasts, recalibration_report
 from .scoring import ScoringRule, brier_rule, rps_rule, score
 from .svg import RenderConfig, render_forecast_map, render_palette_legend, render_reliability_diagram
@@ -92,10 +92,10 @@ def _read_dataset(path: str) -> Dataset:
 
 
 def _read_pairs(path: str) -> list[ForecastObsPair]:
-    """The observed pairs of a dataset file; EmptyDataset if there are none."""
+    """The observed pairs of a dataset file; DomainError if there are none."""
     pairs = pairs_from_dataset(_read_dataset(path))
     if not pairs:
-        raise EmptyDataset("no records carry observations")
+        raise DomainError("no records carry observations")
     return pairs
 
 
@@ -247,16 +247,16 @@ def _load_map(path: str) -> QuadraticMap:
 def calibrate(input_path, output_path, score_rule, nbins, holdout):
     """Fit the quadratic recalibration map and report before/after."""
     if not 0.0 <= holdout < 1.0:
-        raise EmptyDataset(f"holdout fraction {holdout} outside [0, 1)")
+        raise DomainError(f"holdout fraction {holdout} outside [0, 1)")
     pairs = _read_pairs(input_path)
     rule = _rule_by_name(score_rule)
     n_train = len(pairs) - int(round(holdout * len(pairs)))
     train = pairs[:n_train]
     evaluate = pairs[n_train:] if holdout > 0.0 else pairs
     if not train:
-        raise EmptyDataset("holdout leaves no training pairs")
+        raise DomainError("holdout leaves no training pairs")
     if not evaluate:
-        raise EmptyDataset("holdout leaves no evaluation pairs")
+        raise DomainError("holdout leaves no evaluation pairs")
     mapping = fit_map(train, rule)
     report = recalibration_report(evaluate, mapping, rule, nbins)
     summary = {

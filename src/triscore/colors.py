@@ -19,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import ChannelOutOfRange, DegenerateClimatology
+from .errors import DomainError
 from .scoring import brier_rule, unit_map
 from .simplex import TernaryProb
 
@@ -58,20 +58,22 @@ class PaletteParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.m) and self.m > 0.0):
-            raise ChannelOutOfRange(f"saturation exponent m = {self.m} must be finite and > 0")
+            raise DomainError(f"saturation exponent m = {self.m} must be finite and > 0")
         if not math.isfinite(self.theta0):
-            raise ChannelOutOfRange(f"palette rotation theta0 = {self.theta0} must be finite")
+            raise DomainError(f"palette rotation theta0 = {self.theta0} must be finite")
         anchors = tuple((float(t), float(h)) for t, h in self.hue_anchors)
         if not all(math.isfinite(x) for anchor in anchors for x in anchor):
-            raise ChannelOutOfRange("hue anchors must be finite")
+            raise DomainError("hue anchors must be finite")
         if len(anchors) < 2 or anchors[0][0] != 0.0 or anchors[-1][0] != 1.0:
-            raise ChannelOutOfRange("hue anchors must start at t=0 and end at t=1")
+            raise DomainError("hue anchors must start at t=0 and end at t=1")
         ts = [t for t, _ in anchors]
         if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
-            raise ChannelOutOfRange("hue anchor positions must be strictly increasing")
+            raise DomainError("hue anchor positions must be strictly increasing")
         turns = anchors[-1][1] - anchors[0][1]
         if not (math.isfinite(turns) and abs(turns - round(turns)) <= 1e-9):
-            raise ChannelOutOfRange("hue at t=1 must equal hue at t=0 modulo 1")
+            raise DomainError("hue at t=1 must equal hue at t=0 modulo 1")
+        if not all(math.isfinite(h2 - h1) for (_, h1), (_, h2) in zip(anchors, anchors[1:])):
+            raise DomainError("neighbouring hue anchors must be a finite distance apart")
         object.__setattr__(self, "hue_anchors", anchors)
 
     def hue_at(self, t: float) -> float:
@@ -108,10 +110,10 @@ class ColorRGB:
 def _positive_climatology(q: TernaryProb) -> tuple[float, float, float]:
     qs = q.as_tuple()
     if min(qs) <= 0.0:
-        raise DegenerateClimatology(f"climatology {qs} has a non-positive component")
+        raise DomainError(f"climatology {qs} has a non-positive component")
     # the gain's scale is 1 / log(1 / min(q)), and 1 / min(q) overflows below 5.6e-309
     if not math.isfinite(1.0 / min(qs)):
-        raise DegenerateClimatology(f"climatology {qs} has a component too small to invert")
+        raise DomainError(f"climatology {qs} has a component too small to invert")
     return qs
 
 
@@ -171,7 +173,7 @@ def hsv_to_rgb(c: ColorHSV) -> ColorRGB:
     """Standard hexcone HSV to RGB conversion, channels in [0, 1]."""
     for name, v in (("hue", c.hue), ("saturation", c.saturation), ("value", c.value)):
         if not (0.0 <= v <= 1.0):
-            raise ChannelOutOfRange(f"{name} = {v} outside [0, 1]")
+            raise DomainError(f"{name} = {v} outside [0, 1]")
     r, g, b = colorsys.hsv_to_rgb(c.hue, c.saturation, c.value)
     return ColorRGB(r, g, b)
 

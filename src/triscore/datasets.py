@@ -25,13 +25,7 @@ from types import NoneType
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    MissingClimatologySeries,
-    MixedRepresentation,
-    SchemaError,
-    TriscoreError,
-)
+from .errors import DomainError, SchemaError, TriscoreError
 from .gaussian import _climatology_z, gaussian_to_ternary, scale_params
 from .simplex import (
     RESCALE_TOLERANCE,
@@ -62,7 +56,7 @@ def _check_representation(ternary, gaussian, members) -> None:
         if val is not None
     ]
     if present:
-        raise MixedRepresentation(f"record mixes {' and '.join(present)} forecasts")
+        raise SchemaError(f"record mixes {' and '.join(present)} forecasts")
     raise SchemaError("record carries no forecast representation")
 
 
@@ -191,7 +185,7 @@ def _record_thresholds(record: ForecastRecord, q: TernaryProb) -> CategoryThresh
         return CategoryThresholds(mu_c + sigma_c * zB, mu_c + sigma_c * zA)
     if record.series is not None:
         return empirical_quantiles(list(record.series), q)
-    raise MissingClimatologySeries("record needs a climatology series to place thresholds")
+    raise DomainError("record needs a climatology series to place thresholds")
 
 
 def resolve_ternary(record: ForecastRecord, q: TernaryProb) -> TernaryProb:
@@ -232,7 +226,7 @@ def resolve_dataset(
             obs.append(o)
             forecasts.append(None if observed_only and o is None else resolve_ternary(rec, q))
     except TriscoreError as e:
-        raise type(e)(f"records[{i}]: {e}") from None
+        raise type(e)(str(e), f"records[{i}]") from None
     return forecasts, obs
 
 

@@ -2,91 +2,27 @@
 
 Two families matter to callers: :class:`SchemaError` (malformed input
 files, exit code 2 in the CLI) and :class:`DomainError` (mathematically
-invalid values or requests, exit code 3).
+invalid values or requests, exit code 3).  Both are
+:class:`TriscoreError`s, and the message says what went wrong; callers
+catch a family and read the message.
 """
 
 
 class TriscoreError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``location``, if given, is put in front of the message as
+    ``"<location>: <message>"``: a CSV row (``row 3``, counting the header
+    as row 1) or a JSON path such as ``records[3].pB``.
+    """
+
+    def __init__(self, message: str, location: str | None = None):
+        super().__init__(message if location is None else f"{location}: {message}")
 
 
 class DomainError(TriscoreError):
     """A value is outside the mathematical domain of an operation."""
 
 
-class NegativeProbability(DomainError):
-    pass
-
-
-class NotNormalised(DomainError):
-    pass
-
-
-class NonMonotoneCDF(DomainError):
-    pass
-
-
-class InsufficientData(DomainError):
-    pass
-
-
-class NotPositiveDefinite(DomainError):
-    pass
-
-
-class DegenerateTriangle(DomainError):
-    pass
-
-
-class EmptyDataset(DomainError):
-    pass
-
-
-class DegenerateClimatology(DomainError):
-    pass
-
-
-class ChannelOutOfRange(DomainError):
-    pass
-
-
-class NonPositiveSigma(DomainError):
-    pass
-
-
-class QuantileOutOfRange(DomainError):
-    pass
-
-
-class NotInvertible(DomainError):
-    pass
-
-
-class InvalidDecomposition(DomainError):
-    pass
-
-
-class MissingClimatologySeries(DomainError):
-    pass
-
-
-class MissingVerificationHistory(DomainError):
-    pass
-
-
 class SchemaError(TriscoreError):
-    """Malformed dataset input. Carries the location of the offence.
-
-    ``location`` is a CSV row number (1-based, counting the header as
-    row 1) or a JSON path such as ``records[3].pB``.
-    """
-
-    def __init__(self, message: str, location: str | None = None):
-        self.location = location
-        if location is not None:
-            message = f"{location}: {message}"
-        super().__init__(message)
-
-
-class MixedRepresentation(SchemaError):
-    """A record supplies more than one forecast representation."""
+    """Malformed dataset input."""

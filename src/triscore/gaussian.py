@@ -19,12 +19,7 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
-from .errors import (
-    DegenerateClimatology,
-    NonPositiveSigma,
-    NotInvertible,
-    QuantileOutOfRange,
-)
+from .errors import DomainError
 from .simplex import TernaryProb, make_ternary
 
 _SQRT2 = math.sqrt(2.0)
@@ -41,17 +36,17 @@ class GaussianScaled:
 
     def __post_init__(self):
         if not (math.isfinite(self.mu_hat) and math.isfinite(self.sigma_hat)):
-            raise NonPositiveSigma("scaled parameters must be finite")
+            raise DomainError("scaled parameters must be finite")
         if self.sigma_hat <= 0.0:
-            raise NonPositiveSigma(f"sigma_hat = {self.sigma_hat} <= 0")
+            raise DomainError(f"sigma_hat = {self.sigma_hat} <= 0")
 
 
 def scale_params(mu: float, sigma: float, mu_c: float, sigma_c: float) -> GaussianScaled:
     """Normalise (mu, sigma) against the climatology (mu_c, sigma_c)."""
     if sigma <= 0.0:
-        raise NonPositiveSigma(f"sigma = {sigma} <= 0")
+        raise DomainError(f"sigma = {sigma} <= 0")
     if sigma_c <= 0.0:
-        raise NonPositiveSigma(f"sigma_c = {sigma_c} <= 0")
+        raise DomainError(f"sigma_c = {sigma_c} <= 0")
     return GaussianScaled((mu - mu_c) / sigma_c, sigma / sigma_c)
 
 
@@ -63,14 +58,14 @@ def std_normal_cdf(z: float) -> float:
 def std_normal_quantile(u: float) -> float:
     """Inverse of :func:`std_normal_cdf` on the open interval (0, 1)."""
     if not 0.0 < u < 1.0:
-        raise QuantileOutOfRange(f"quantile argument {u} outside (0, 1)")
+        raise DomainError(f"quantile argument {u} outside (0, 1)")
     return _STD_NORMAL.inv_cdf(u)
 
 
 def _climatology_z(q: TernaryProb) -> tuple[float, float]:
     """Standard-normal quantiles (zB, zA) of the climatology's thresholds."""
     if q.pB <= 0.0 or q.pB + q.pN >= 1.0:
-        raise DegenerateClimatology(
+        raise DomainError(
             f"climatology ({q.pB}, {q.pN}, {q.pA}) leaves no interior thresholds"
         )
     return std_normal_quantile(q.pB), std_normal_quantile(q.pB + q.pN)
@@ -115,7 +110,7 @@ def ternary_to_gaussian(p: TernaryProb, q: TernaryProb) -> GaussianScaled:
     wB = _split_quantile(p.pB, p.pN + p.pA, "pB")
     wA = _split_quantile(p.pB + p.pN, p.pA, "pB + pN")
     if not wA > wB:
-        raise NotInvertible("pN = 0: forecast carries no central mass")
+        raise DomainError("pN = 0: forecast carries no central mass")
     sigma_hat = (zA - zB) / (wA - wB)
     mu_hat = zB - sigma_hat * wB
     return GaussianScaled(mu_hat, sigma_hat)
@@ -123,9 +118,9 @@ def ternary_to_gaussian(p: TernaryProb, q: TernaryProb) -> GaussianScaled:
 
 def _split_quantile(c: float, complement: float, name: str) -> float:
     if c <= 0.0:
-        raise NotInvertible(f"{name} = 0 is on the boundary")
+        raise DomainError(f"{name} = 0 is on the boundary")
     if complement <= 0.0:
-        raise NotInvertible(f"{name} = 1 is on the boundary")
+        raise DomainError(f"{name} = 1 is on the boundary")
     if c <= 0.5:
         return std_normal_quantile(c)
     return -std_normal_quantile(complement)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataset, TriscoreError
+from .errors import DomainError, TriscoreError
 from .scoring import AffineTernary, ScoringRule
 from .simplex import TernaryProb
 from .verification import (
@@ -45,7 +45,7 @@ class QuadraticMap:
     def __post_init__(self):
         cs = tuple(float(c) for c in self.coeffs)
         if len(cs) != 12 or not all(np.isfinite(cs)):
-            raise EmptyDataset("a quadratic map needs 12 finite coefficients")
+            raise DomainError("a quadratic map needs 12 finite coefficients")
         object.__setattr__(self, "coeffs", cs)
         # the coefficient rows of pB~ and pA~, for apply_map
         object.__setattr__(self, "_cB", np.array(cs[:6]))
@@ -93,7 +93,7 @@ def map_forecasts(
         for i, res in enumerate(mapped):
             mapped[i] = res.to_ternary()
     except TriscoreError as e:
-        raise type(e)(f"records[{i}]: {e}") from None
+        raise type(e)(str(e), f"records[{i}]") from None
     return mapped, len(off)
 
 
@@ -148,7 +148,7 @@ def fit_map(pairs: list[ForecastObsPair], rule: ScoringRule) -> QuadraticMap:
     float-level tie the identity is returned outright.
     """
     if not pairs:
-        raise EmptyDataset("no pairs to fit a recalibration map on")
+        raise DomainError("no pairs to fit a recalibration map on")
     X, Y = _regression(*_pair_arrays(pairs))
     C, *_ = np.linalg.lstsq(X, Y, rcond=None)
     coeffs = C.T.ravel()  # C1..C6 for pB~, then C7..C12 for pA~
@@ -162,7 +162,7 @@ def mean_score_of_map(
 ) -> float:
     """Mean quadratic score of the (unclipped) mapped forecasts."""
     if not pairs:
-        raise EmptyDataset("no pairs to score")
+        raise DomainError("no pairs to score")
     return _mean_score(mapping.coeffs, *_regression(*_pair_arrays(pairs)), rule)
 
 
@@ -193,7 +193,7 @@ def recalibration_report(
     reported unclipped.
     """
     if not pairs:
-        raise EmptyDataset("no pairs to report on")
+        raise DomainError("no pairs to report on")
     F, obs = _pair_arrays(pairs)
     mapped, n_off = map_forecasts(mapping, [pair.forecast for pair in pairs], clip=rule)
     binned_before = _binned(F, obs, nbins)

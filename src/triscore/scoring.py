@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTriangle, NotPositiveDefinite
+from .errors import DomainError
 from .simplex import NEGATIVE_TOLERANCE, TernaryProb, make_ternary
 
 _EIGEN_FLOOR = 1e-12
@@ -89,12 +89,12 @@ class ScoringRule:
     def __init__(self, L: np.ndarray):
         L = np.asarray(L, dtype=float)
         if L.shape != (3, 3) or not np.all(np.isfinite(L)):
-            raise NotPositiveDefinite("L must be a finite 3x3 matrix")
+            raise DomainError("L must be a finite 3x3 matrix")
         raw = L.T @ L
         A = 0.5 * (raw + raw.T)
         eigvals = np.linalg.eigvalsh(A)
         if eigvals.min() <= _EIGEN_FLOOR:
-            raise NotPositiveDefinite(
+            raise DomainError(
                 f"L'L has an eigenvalue {eigvals.min():.3e} <= {_EIGEN_FLOOR}"
             )
 
@@ -110,7 +110,7 @@ class ScoringRule:
         cos_phi = min(1.0, max(-1.0, cos_phi))
         sin_phi = math.sqrt(max(0.0, 1.0 - cos_phi * cos_phi))
         if sin_phi <= _SIN_FLOOR:
-            raise DegenerateTriangle("induced triangle has (near-)collinear corners")
+            raise DomainError("induced triangle has (near-)collinear corners")
         phi = math.acos(cos_phi)
 
         Mhat = np.array([[0.0, a * cos_phi, n], [0.0, a * sin_phi, 0.0]])

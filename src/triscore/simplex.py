@@ -14,12 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    InsufficientData,
-    NegativeProbability,
-    NonMonotoneCDF,
-    NotNormalised,
-)
+from .errors import DomainError
 
 #: Largest |pB+pN+pA - 1| that is silently renormalised.
 SUM_TOLERANCE = 1e-9
@@ -87,7 +82,7 @@ class CategoryThresholds:
 
     def __post_init__(self):
         if self.xB > self.xA:
-            raise NonMonotoneCDF(f"thresholds out of order: xB={self.xB} > xA={self.xA}")
+            raise DomainError(f"thresholds out of order: xB={self.xB} > xA={self.xA}")
 
     def categorise(self, value: float) -> ObsCategory:
         """Category of an observed value; boundary values break low."""
@@ -101,10 +96,10 @@ class CategoryThresholds:
 def make_ternary(pB: float, pN: float, pA: float) -> TernaryProb:
     """Validate and normalise a probability triple.
 
-    Components more negative than ``NEGATIVE_TOLERANCE`` raise
-    :class:`NegativeProbability`; sums farther than ``SUM_TOLERANCE``
-    from one raise :class:`NotNormalised`.  Within those tolerances the
-    triple is renormalised so the float components sum to exactly 1.0.
+    Components more negative than ``NEGATIVE_TOLERANCE``, and sums farther
+    than ``SUM_TOLERANCE`` from one, raise :class:`DomainError`.  Within
+    those tolerances the triple is renormalised so the float components
+    sum to exactly 1.0.
 
     A triple with no component below zero whose sum, added left to
     right, is within ``RESCALE_TOLERANCE`` of one is returned as given,
@@ -117,13 +112,13 @@ def make_ternary(pB: float, pN: float, pA: float) -> TernaryProb:
     vals = [b, n, a]
     for name, v in zip("BNA", vals):
         if not math.isfinite(v):
-            raise NotNormalised(f"p{name} is not finite: {v}")
+            raise DomainError(f"p{name} is not finite: {v}")
         if v < NEGATIVE_TOLERANCE:
-            raise NegativeProbability(f"p{name} = {v} < 0")
+            raise DomainError(f"p{name} = {v} < 0")
     vals = [max(0.0, v) for v in vals]
     total = vals[0] + vals[1] + vals[2]
     if abs(total - 1.0) > SUM_TOLERANCE:
-        raise NotNormalised(f"probabilities sum to {total}, not 1")
+        raise DomainError(f"probabilities sum to {total}, not 1")
     # sums already within a few ulp of 1 are left untouched: rescaling by
     # such a factor is a no-op at double precision and would break
     # bit-level idempotence of construction (and hence I/O roundtrips)
@@ -140,9 +135,9 @@ def ternary_from_cdf(F_at_xB: float, F_at_xA: float) -> TernaryProb:
     Returns (F(xB), F(xA) - F(xB), 1 - F(xA)).
     """
     if not (0.0 <= F_at_xB <= 1.0 and 0.0 <= F_at_xA <= 1.0):
-        raise NotNormalised(f"CDF values outside [0,1]: ({F_at_xB}, {F_at_xA})")
+        raise DomainError(f"CDF values outside [0,1]: ({F_at_xB}, {F_at_xA})")
     if F_at_xB > F_at_xA:
-        raise NonMonotoneCDF(f"F(xB)={F_at_xB} > F(xA)={F_at_xA}")
+        raise DomainError(f"F(xB)={F_at_xB} > F(xA)={F_at_xA}")
     return make_ternary(F_at_xB, F_at_xA - F_at_xB, 1.0 - F_at_xA)
 
 
@@ -154,9 +149,9 @@ def empirical_quantiles(series: list[float], q: TernaryProb) -> CategoryThreshol
     fractional index c*(n-1) in the sorted sample.
     """
     if len(series) < 2:
-        raise InsufficientData(f"need at least 2 climatology values, got {len(series)}")
+        raise DomainError(f"need at least 2 climatology values, got {len(series)}")
     if not all(map(math.isfinite, series)):
-        raise InsufficientData("climatology series contains non-finite values")
+        raise DomainError("climatology series contains non-finite values")
     ordered = sorted(series)
     xB = _interp_quantile(ordered, q.pB)
     xA = _interp_quantile(ordered, q.pB + q.pN)
@@ -180,7 +175,7 @@ def ensemble_to_ternary(members: list[float], thresholds: CategoryThresholds) ->
     """
     n = len(members)
     if n == 0:
-        raise InsufficientData("empty ensemble")
+        raise DomainError("empty ensemble")
     nB = sum(1 for m in members if m <= thresholds.xB)
     nA = sum(1 for m in members if m > thresholds.xA)
     nN = n - nB - nA

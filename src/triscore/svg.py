@@ -17,7 +17,7 @@ import numpy as np
 
 from .colors import _EQUILATERAL_MHAT, PaletteParams, assign_color, hex_colors, hsv_to_rgb
 from .datasets import Dataset, resolve_dataset
-from .errors import DomainError, MissingVerificationHistory
+from .errors import DomainError
 from .scoring import ScoringRule, brier_rule, unit_map
 from .simplex import TernaryProb
 from .verification import (
@@ -192,7 +192,7 @@ def _skill_by_record(locs: np.ndarray, obs: np.ndarray, F, config, rule) -> np.n
     category index, -1 where it is unobserved."""
     rows = np.flatnonzero(obs >= 0)
     if not len(rows):
-        raise MissingVerificationHistory(
+        raise DomainError(
             "skill circles requested but no record carries an observation"
         )
     # each (lat, lon) row read as one complex number, which np.unique sorts
@@ -237,7 +237,7 @@ def render_forecast_map(
     if rule is None:
         rule = brier_rule()
     if not dataset.records:
-        raise MissingVerificationHistory("dataset has no records to draw")
+        raise DomainError("dataset has no records to draw")
     locs = np.array([(r.lat, r.lon) for r in dataset.records], dtype=float)
     xs, ys = _geo_projection(locs, locs, config)
 

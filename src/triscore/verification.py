@@ -18,7 +18,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import EmptyDataset, InvalidDecomposition
+from .errors import DomainError
 from .scoring import ScoringRule, uncertainty
 from .simplex import _INDEX, ObsCategory, TernaryProb, make_ternary
 
@@ -125,7 +125,7 @@ def _bin_arrays(
     then as the (kB, kN, kA) tuples.
     """
     if not 1 <= nbins <= 2**31:  # so the lattice code below fits in int64
-        raise EmptyDataset(f"nbins = {nbins} must be between 1 and {2**31}")
+        raise DomainError(f"nbins = {nbins} must be between 1 and {2**31}")
     keys = _snap(F, nbins)
     code = keys[:, 0] * (nbins + 1) + keys[:, 1]  # ordered as the key tuples
     order = np.lexsort((code, group))
@@ -146,7 +146,7 @@ def _binned(F: np.ndarray, obs: np.ndarray, nbins: int) -> BinnedStats:
 def bin_forecasts(pairs: list[ForecastObsPair], nbins: int = 11) -> BinnedStats:
     """Group pairs by the lattice point nearest to each forecast."""
     if not pairs:
-        raise EmptyDataset("no forecast-observation pairs to bin")
+        raise DomainError("no forecast-observation pairs to bin")
     return _binned(*_pair_arrays(pairs), nbins)
 
 
@@ -186,14 +186,14 @@ class Decomposition:
         return abs(self.S - (self.U - self.Z + self.R))
 
     def check(self) -> None:
-        """InvalidDecomposition unless S = U - Z + R and U >= Z (U - Z is a
+        """DomainError unless S = U - Z + R and U >= Z (U - Z is a
         count-weighted mean of the bins' own uncertainties), each to within
         a rounding allowance."""
         gap = self.identity_gap()
         if gap > _IDENTITY_GUARD:
-            raise InvalidDecomposition(f"decomposition identity violated by {gap:.3e}")
+            raise DomainError(f"decomposition identity violated by {gap:.3e}")
         if self.Z - self.U > _IDENTITY_GUARD:
-            raise InvalidDecomposition(f"U = {self.U} < Z = {self.Z}")
+            raise DomainError(f"U = {self.U} < Z = {self.Z}")
 
 
 def _decompose_bins(rule: ScoringRule, group: np.ndarray, bins: BinnedStats) -> list[Decomposition]:
@@ -230,7 +230,7 @@ def _decompose_bins(rule: ScoringRule, group: np.ndarray, bins: BinnedStats) -> 
 def decompose(rule: ScoringRule, binned: BinnedStats) -> Decomposition:
     """Murphy decomposition of the binned mean score."""
     if not len(binned.keys):
-        raise EmptyDataset("no bins to decompose")
+        raise DomainError("no bins to decompose")
     return _decompose_bins(rule, np.zeros(len(binned.keys), dtype=np.int64), binned)[0]
 
 
@@ -246,7 +246,7 @@ def decompose_by_group(
     """
     sizes = np.bincount(group)
     if not len(sizes) or not sizes.all():
-        raise EmptyDataset("every group id 0..G-1 needs at least one pair")
+        raise DomainError("every group id 0..G-1 needs at least one pair")
     return _decompose_bins(rule, *_bin_arrays(F, obs, group, nbins))
 
 

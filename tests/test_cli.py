@@ -27,7 +27,7 @@ from triscore import (
     write_json,
 )
 from triscore.cli import _decomposition_summary, main, run
-from triscore.errors import InvalidDecomposition
+from triscore.errors import DomainError
 from triscore.recalibration import QuadraticMap
 
 from conftest import frozen_dataset
@@ -350,7 +350,7 @@ class TestExitCodes:
 
     def test_identity_guard_is_invalid_decomposition(self):
         broken = Decomposition(S=0.5 + 1e-6, U=0.6, Z=0.2, R=0.1, q_bar=UNIFORM)
-        with pytest.raises(InvalidDecomposition):
+        with pytest.raises(DomainError, match=r"^decomposition identity violated by 1\.000e-06$"):
             _decomposition_summary(
                 broken, BinnedStats(np.zeros((0, 3), int), np.zeros((0, 3), int), 11))
 
@@ -940,6 +940,20 @@ class TestRenderCommands:
                                       "--anchors", anchors])
         assert_fails_cleanly(result, 2)
         assert named in result.stderr
+
+    @pytest.mark.parametrize("command", ["render-map", "palette"])
+    def test_anchors_an_infinite_distance_apart_are_domain_error(self, runner, tmp_path,
+                                                                 command):
+        # each hue is finite, but -1e308 to 1e308 overflows
+        anchors = "[[0,0],[0.4,-1e308],[0.7,1e308],[1,1]]"
+        args = [command, "-o", str(tmp_path / "x.svg"), "--anchors", anchors]
+        if command == "render-map":
+            data = tmp_path / "one.csv"
+            data.write_text("lat,lon,pB,pN,pA\n0,0,0.2,0.3,0.5\n")
+            args += ["-i", str(data)]
+        result = runner.invoke(main, args)
+        assert_fails_cleanly(result, 3)
+        assert result.stderr == "error: neighbouring hue anchors must be a finite distance apart\n"
 
     def test_palette_bad_q_is_schema_error(self, runner, tmp_path):
         result = runner.invoke(main, ["palette", "-o", str(tmp_path / "x.svg"),

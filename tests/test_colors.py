@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,12 +21,14 @@ from triscore import (
     make_ternary,
 )
 from triscore.colors import _hue_saturation
-from triscore.errors import ChannelOutOfRange, DegenerateClimatology
+from triscore.errors import DomainError
 
 from conftest import simplex_grid
 
 B, N, A = (c.to_ternary() for c in ObsCategory)
 TWO_PI = 2.0 * math.pi
+NON_POSITIVE_Q = r"^climatology \(0\.5, 0\.5, 0\.0\) has a non-positive component$"
+TINY_Q = r"^climatology \(5e-324, 0\.5, 0\.5\) has a component too small to invert$"
 
 
 class TestInformationGain:
@@ -60,10 +63,10 @@ class TestInformationGain:
                 assert 0.0 <= e <= 1.0
 
     def test_rejects_degenerate_climatology(self):
-        with pytest.raises(DegenerateClimatology):
+        with pytest.raises(DomainError, match=NON_POSITIVE_Q):
             information_gain(UNIFORM, make_ternary(0.5, 0.5, 0.0))
         # 1 / 5e-324 overflows
-        with pytest.raises(DegenerateClimatology):
+        with pytest.raises(DomainError, match=TINY_Q):
             information_gain(UNIFORM, make_ternary(5e-324, 0.5, 0.5))
 
 
@@ -148,19 +151,32 @@ class TestPaletteParams:
         assert params.hue_at(0.52) == pytest.approx(0.55, abs=1e-12)
 
     def test_rejects_bad_anchor_tables(self):
-        with pytest.raises(ChannelOutOfRange):
-            PaletteParams(hue_anchors=((0.1, 0.0), (1.0, 1.0)))
-        with pytest.raises(ChannelOutOfRange):
-            PaletteParams(hue_anchors=((0.0, 0.0), (0.5, 0.2), (0.5, 0.3), (1.0, 1.0)))
-        with pytest.raises(ChannelOutOfRange):
-            PaletteParams(hue_anchors=((0.0, 0.0), (1.0, 0.5)))
-        for table in (((0.0, 0.0), (math.nan, 0.5), (1.0, 1.0)),
-                      ((0.0, 0.0), (0.5, math.inf), (1.0, 1.0)),
-                      ((0.0, -1e308), (1.0, 1e308))):
-            with pytest.raises(ChannelOutOfRange):
+        ends = "hue anchors must start at t=0 and end at t=1"
+        increasing = "hue anchor positions must be strictly increasing"
+        modulo = "hue at t=1 must equal hue at t=0 modulo 1"
+        finite = "hue anchors must be finite"
+        apart = "neighbouring hue anchors must be a finite distance apart"
+        for table, message in ((((0.1, 0.0), (1.0, 1.0)), ends),
+                               (((0.0, 0.0), (0.5, 0.2), (0.5, 0.3), (1.0, 1.0)), increasing),
+                               (((0.0, 0.0), (1.0, 0.5)), modulo),
+                               (((0.0, 0.0), (math.nan, 0.5), (1.0, 1.0)), finite),
+                               (((0.0, 0.0), (0.5, math.inf), (1.0, 1.0)), finite),
+                               (((0.0, -1e308), (1.0, 1e308)), modulo),
+                               (((0.0, 0.0), (0.4, -1e308), (0.7, 1e308), (1.0, 1.0)), apart)):
+            with pytest.raises(DomainError, match=f"^{message}$"):
                 PaletteParams(hue_anchors=table)
-        with pytest.raises(ChannelOutOfRange):
+        with pytest.raises(DomainError,
+                           match=r"^saturation exponent m = 0\.0 must be finite and > 0$"):
             PaletteParams(m=0.0)
+
+    def test_hues_a_finite_distance_apart_give_numbers(self):
+        # the anchor rule rejects -1e308 next to 1e308, whose distance
+        # overflows; hues as far apart as floats allow still interpolate
+        params = PaletteParams(hue_anchors=((0.0, 0.0), (0.5, 1e308), (1.0, 1.0)))
+        F = np.array([p.as_tuple() for p in simplex_grid(10)])
+        hue = _hue_saturation(F, UNIFORM, params)[0]
+        assert np.all((0.0 <= hue) & (hue <= 1.0))
+        assert len(hex_colors(F, UNIFORM, params)) == len(F)
 
     @pytest.mark.parametrize("first", [0.4, 0.9, 0.15, 0.3])
     def test_accepts_last_hue_one_turn_on(self, first):
@@ -172,7 +188,10 @@ class TestPaletteParams:
         {"m": math.inf}, {"m": math.nan}, {"theta0": math.nan}, {"theta0": -math.inf},
     ], ids=["m-inf", "m-nan", "theta0-nan", "theta0-inf"])
     def test_rejects_non_finite_parameters(self, kw):
-        with pytest.raises(ChannelOutOfRange):
+        [(name, v)] = kw.items()
+        message = (f"saturation exponent m = {v} must be finite and > 0" if name == "m"
+                   else f"palette rotation theta0 = {v} must be finite")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             PaletteParams(**kw)
 
 
@@ -189,9 +208,9 @@ class TestHsvToRgb:
             assert (rgb.r, rgb.g, rgb.b) == (1.0, 1.0, 1.0)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ChannelOutOfRange):
+        with pytest.raises(DomainError, match=r"^hue = 1\.5 outside \[0, 1\]$"):
             hsv_to_rgb(ColorHSV(1.5, 0.5, 0.5))
-        with pytest.raises(ChannelOutOfRange):
+        with pytest.raises(DomainError, match=r"^saturation = -0\.1 outside \[0, 1\]$"):
             hsv_to_rgb(ColorHSV(0.5, -0.1, 0.5))
 
     def test_hex_rounds_half_up(self):
@@ -334,7 +353,7 @@ class TestBatchColors:
         assert hex_colors(F, UNIFORM, params) == ["#ff0000", "#ff0000"]
 
     def test_rejects_degenerate_climatology(self):
-        with pytest.raises(DegenerateClimatology):
+        with pytest.raises(DomainError, match=NON_POSITIVE_Q):
             hex_colors(np.array([UNIFORM.as_tuple()]), make_ternary(0.5, 0.5, 0.0))
-        with pytest.raises(DegenerateClimatology):
+        with pytest.raises(DomainError, match=TINY_Q):
             hex_colors(np.array([UNIFORM.as_tuple()]), make_ternary(5e-324, 0.5, 0.5))

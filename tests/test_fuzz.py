@@ -5,7 +5,8 @@ or replaced by a value a parser must reject (booleans, strings, huge
 integers, NaN, lists, objects).  Only package errors may leave the
 parsers, each the one the record-by-record reference raises, so a row
 that is not plain is built or rejected exactly as the reference does.
-Every command must end in exit 0, 2 or 3 without a traceback.
+Every command must end in exit 0, 2 or 3 without a traceback, and say
+why it failed in one ``error:`` line or in click's usage block.
 """
 
 import csv
@@ -123,6 +124,15 @@ def test_parse_csv_raises_only_package_errors(data):
 
 
 _nbins = st.sampled_from(["-1", "0", "1", "3", "11"])
+# hue anchor tables: any JSON, or one that keeps every other rule but may
+# hold neighbouring hues (+-1e308) whose distance overflows
+_anchors = st.one_of(
+    st.just("[[0, 0.4], [0.5, 0.7], [1, 1.4]]"),
+    st.builds(json.dumps, st.lists(st.lists(st.one_of(_number, _odd), min_size=1, max_size=3),
+                                   max_size=4)),
+    st.lists(st.sampled_from([0.5, 1e308, -1e308]), min_size=2, max_size=2).map(
+        lambda hs: json.dumps([[0, 0], [0.4, hs[0]], [0.7, hs[1]], [1, 1]])),
+)
 _score = st.sampled_from(["brier", "rps"])
 _small = st.sampled_from(["-1", "0", "1", "2.5", "nan", "inf", "x"])
 
@@ -142,6 +152,7 @@ _OPTIONS = {
         st.tuples(st.just("--nbins"), _nbins),
         st.tuples(st.just("--min-pairs"), st.sampled_from(["0", "1", "5"])),
         st.tuples(st.sampled_from(["--cell-size", "--m", "--theta0"]), _small),
+        st.tuples(st.just("--anchors"), _anchors),
     ), max_size=3),
     "render-reliability": st.lists(st.one_of(
         st.tuples(st.just("--nbins"), _nbins),
@@ -152,32 +163,51 @@ _OUTPUT = {"project": "out.json", "render-map": "out.svg", "render-reliability":
 
 
 def assert_clean_exit(result):
+    """Exit 0 with nothing on stderr, or exit 2 or 3 with one ``error:``
+    line, or exit 2 with click's usage block; never a traceback."""
     assert result.exit_code in (0, 2, 3), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
+    lines = result.stderr.splitlines()
+    if result.exit_code == 0:
+        assert lines == [], result.stderr
+    elif len(lines) == 1:
+        assert lines[0].startswith("error: "), result.stderr
+    else:
+        assert result.exit_code == 2, result.stderr
+        assert len(lines) == 4, result.stderr
+        usage, try_help, blank, error = lines
+        assert usage.startswith("Usage: ") and try_help.startswith("Try "), result.stderr
+        assert blank == "" and error.startswith("Error: "), result.stderr
 
 
+# render-map on hue anchors whose neighbouring hues are an infinite
+# distance apart must end in one error line, with no numpy warning
 @pytest.mark.parametrize("command", sorted(_OPTIONS))
 @settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_dataset_commands_exit_cleanly(tmp_path_factory, command, data):
+@given(document=st.one_of(_json_documents().map(lambda doc: (doc, ".json")),
+                          _csv_documents().map(lambda doc: (doc, ".csv"))),
+       coeffs=st.one_of(st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+                        st.lists(_value, min_size=11, max_size=13)),
+       stdin=st.booleans(),
+       options=st.fixed_dictionaries(_OPTIONS))
+@example(document=(b"lat,lon,pB,pN,pA\n0,0,0.2,0.3,0.5\n", ".csv"), coeffs=[0.0] * 12,
+         stdin=False, options={**dict.fromkeys(_OPTIONS, []), "render-map": [
+             ["--anchors", "[[0,0],[0.4,-1e308],[0.7,1e308],[1,1]]"]]})
+def test_dataset_commands_exit_cleanly(tmp_path_factory, command, document, coeffs, stdin,
+                                       options):
     work = tmp_path_factory.mktemp(command)
-    if data.draw(st.booleans()):
-        doc, suffix = data.draw(_json_documents()), ".json"
-    else:
-        doc, suffix = data.draw(_csv_documents()), ".csv"
-    coeffs = data.draw(st.one_of(st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
-                                 st.lists(_value, min_size=11, max_size=13)))
+    doc, suffix = document
     (work / "map.json").write_text(json.dumps({"coefficients": coeffs}))
     argv = [command]
-    if data.draw(st.booleans()):
+    if stdin:
         argv += ["-i", "-"]
     else:
         (work / f"in{suffix}").write_bytes(doc)
         argv += ["-i", str(work / f"in{suffix}")]
     if command in _OUTPUT:
         argv += ["-o", str(work / _OUTPUT[command])]
-    for option in data.draw(_OPTIONS[command]):
+    for option in options[command]:
         argv += [arg.replace("{map}", str(work / "map.json")) for arg in option]
     assert_clean_exit(CliRunner().invoke(main, argv, input=doc))
 
@@ -187,10 +217,7 @@ def test_dataset_commands_exit_cleanly(tmp_path_factory, command, data):
     q=st.one_of(st.sampled_from(["1/3,1/3,1/3", "0.25,0.5,0.25", "0.2, 0.3, 0.5"]),
                 st.sampled_from(["0,0.5,0.5", "1/0,0,1", "a,b,c", "0.5,0.5", "nan,0,1"]),
                 st.text(max_size=6)),
-    anchors=st.one_of(st.none(), st.just("[[0, 0.4], [0.5, 0.7], [1, 1.4]]"),
-                      st.builds(json.dumps, st.lists(
-                          st.lists(st.one_of(_number, _odd), min_size=1, max_size=3),
-                          max_size=4))),
+    anchors=st.one_of(st.none(), _anchors),
     size=st.sampled_from(["-1", "0", "1", "3"]),
     m=_small,
 )

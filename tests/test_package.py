@@ -1,19 +1,24 @@
-"""The package's lazy exports, the CLI's BLAS thread default and
-README's library example.
+"""The package's lazy exports, its error families, the CLI's BLAS thread
+default and README's library example.
 
-The first two are properties of interpreter start-up, so every case
-runs in a fresh interpreter; the example runs as a reader would run it.
+The exports and the thread default are properties of interpreter
+start-up, so each of their cases runs in a fresh interpreter; the
+example runs as a reader would run it.
 """
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from triscore import write_json
+import triscore
+from triscore import errors, write_json
 
 from conftest import frozen_dataset
 
@@ -92,6 +97,30 @@ class TestLazyExports:
         assert out["unknown"] == "module 'triscore' has no attribute 'no_such_name'"
         # a submodule is an attribute only once it has been imported
         assert out["svg"] == "module 'triscore' has no attribute 'svg'"
+
+
+class TestErrorFamilies:
+    def test_errors_defines_the_two_families_only(self):
+        classes = {name for name, obj in vars(errors).items()
+                   if inspect.isclass(obj) and obj.__module__ == errors.__name__}
+        assert classes == {"TriscoreError", "DomainError", "SchemaError"}
+        assert errors.DomainError.__bases__ == (errors.TriscoreError,)
+        assert errors.SchemaError.__bases__ == (errors.TriscoreError,)
+        for info in pkgutil.iter_modules(triscore.__path__):
+            module = importlib.import_module(f"triscore.{info.name}")
+            assert module is errors or not [
+                name for name, obj in vars(module).items()
+                if inspect.isclass(obj) and issubclass(obj, BaseException)
+                and obj.__module__ == module.__name__], info.name
+
+    @pytest.mark.parametrize("family", ["DomainError", "SchemaError"])
+    def test_location_goes_in_front_of_the_message(self, family):
+        error = getattr(errors, family)
+        assert str(error("pB = -0.5 < 0", "records[3]")) == "records[3]: pB = -0.5 < 0"
+        assert str(error("pB = -0.5 < 0", "row 4")) == "row 4: pB = -0.5 < 0"
+        assert str(error("pB = -0.5 < 0")) == "pB = -0.5 < 0"
+        assert isinstance(error("x"), errors.TriscoreError)
+        assert not hasattr(error("x", "q"), "location")
 
 
 class TestBlasThreadDefault:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from triscore import (
     uncertainty,
 )
 from triscore import scoring
-from triscore.errors import DegenerateTriangle, NegativeProbability, NotPositiveDefinite
+from triscore.errors import DomainError
 from triscore.scoring import unit_map
 
 from conftest import random_pd_rules, random_simplex, simplex_grid
@@ -96,9 +97,9 @@ class TestCustomRule:
 
     def test_singular_matrix_rejected(self):
         L = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(DomainError, match=r"^L'L has an eigenvalue 0\.000e\+00 <= 1e-12$"):
             custom_rule(L)
-        with pytest.raises(NotPositiveDefinite, match="finite"):
+        with pytest.raises(DomainError, match=r"^L must be a finite 3x3 matrix$"):
             custom_rule(np.diag([1.0, 1.0, math.inf]))
         with pytest.raises(AttributeError, match="immutable"):
             custom_rule(np.eye(3)).L = L
@@ -107,7 +108,8 @@ class TestCustomRule:
         # nearly rank-2 L'L: its smallest eigenvalue, 1e-14, is below the
         # floor, so this stops there; either error is acceptable here
         L = np.diag([1.0, 1.0, 1e-7])
-        with pytest.raises((DegenerateTriangle, NotPositiveDefinite)):
+        with pytest.raises(DomainError, match=r"^(L'L has an eigenvalue \S+ <= 1e-12|"
+                           r"induced triangle has \(near-\)collinear corners)$"):
             custom_rule(L)
 
     def test_collinear_triangle_rejected(self):
@@ -117,7 +119,7 @@ class TestCustomRule:
         assert np.linalg.eigvalsh(L.T @ L).min() > 100 * scoring._EIGEN_FLOOR
         b, n, a = (np.linalg.norm(L @ d) for d in np.eye(3)[[1, 2, 0]] - np.eye(3)[[2, 0, 1]])
         assert a == pytest.approx(b + n, rel=1e-12)
-        with pytest.raises(DegenerateTriangle, match="collinear"):
+        with pytest.raises(DomainError, match=r"^induced triangle has \(near-\)collinear corners$"):
             custom_rule(L)
 
 
@@ -212,7 +214,7 @@ class TestBaryMaps:
         v = np.array([-5e-10, 0.5 + 5e-10, 0.5])
         res = from_bary(brier, BaryPoint(*(brier.Mhat @ v)))
         assert not res.on_simplex
-        with pytest.raises(NegativeProbability):
+        with pytest.raises(DomainError, match=r"^pB = -5\.000000413701855e-10 < 0$"):
             res.to_ternary()
 
     def test_flag_agrees_with_to_ternary_near_edges(self, brier, rps, rng):
@@ -229,7 +231,8 @@ class TestBaryMaps:
                 try:
                     res.to_ternary()
                     accepted = True
-                except NegativeProbability:
+                except DomainError as e:
+                    assert re.fullmatch(r"p[BNA] = \S+ < 0", str(e)), e
                     accepted = False
                 assert res.on_simplex == accepted
 

@@ -15,13 +15,7 @@ from triscore import (
     make_ternary,
     ternary_from_cdf,
 )
-from triscore.errors import (
-    InsufficientData,
-    NegativeProbability,
-    NonMonotoneCDF,
-    NotNormalised,
-    TriscoreError,
-)
+from triscore.errors import DomainError, TriscoreError
 from triscore.simplex import (
     NEGATIVE_TOLERANCE,
     RESCALE_TOLERANCE,
@@ -43,12 +37,12 @@ def test_make_ternary_corner():
 
 
 def test_make_ternary_rejects_bad_sum():
-    with pytest.raises(NotNormalised):
+    with pytest.raises(DomainError, match=r"^probabilities sum to 0\.9, not 1$"):
         make_ternary(0.5, 0.3, 0.1)
 
 
 def test_make_ternary_rejects_negative():
-    with pytest.raises(NegativeProbability):
+    with pytest.raises(DomainError, match=r"^pB = -0\.01 < 0$"):
         make_ternary(-0.01, 0.5, 0.51)
 
 
@@ -60,7 +54,7 @@ def test_make_ternary_clamps_tiny_negative():
 def test_make_ternary_renormalises_within_tolerance():
     p = make_ternary(0.333333333, 0.333333333, 0.333333333)
     assert p.pB + p.pN + p.pA == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(NotNormalised):
+    with pytest.raises(DomainError, match=r"^probabilities sum to 0\.9999998999999999, not 1$"):
         make_ternary(0.3333333, 0.3333333, 0.3333333)  # off by 1e-7
 
 
@@ -94,11 +88,11 @@ def test_ternary_from_cdf_gaussian_case():
 
 
 def test_ternary_from_cdf_rejects_nonmonotone():
-    with pytest.raises(NonMonotoneCDF):
+    with pytest.raises(DomainError, match=r"^F\(xB\)=0\.7 > F\(xA\)=0\.6$"):
         ternary_from_cdf(0.7, 0.6)
-    with pytest.raises(NonMonotoneCDF):
+    with pytest.raises(DomainError, match=r"^thresholds out of order: xB=2\.0 > xA=1\.0$"):
         CategoryThresholds(2.0, 1.0)
-    with pytest.raises(NotNormalised):
+    with pytest.raises(DomainError, match=r"^CDF values outside \[0,1\]: \(1\.5, 0\.5\)$"):
         ternary_from_cdf(1.5, 0.5)
 
 
@@ -129,10 +123,10 @@ def test_empirical_quantiles_median():
 
 
 def test_empirical_quantiles_needs_two_values():
-    with pytest.raises(InsufficientData):
+    with pytest.raises(DomainError, match=r"^need at least 2 climatology values, got 1$"):
         empirical_quantiles([1.0], UNIFORM)
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(InsufficientData, match="non-finite"):
+        with pytest.raises(DomainError, match=r"^climatology series contains non-finite values$"):
             empirical_quantiles([1.0, bad, 2.0], UNIFORM)
 
 
@@ -153,7 +147,7 @@ def test_ensemble_direct_count():
 
 
 def test_ensemble_rejects_empty():
-    with pytest.raises(InsufficientData):
+    with pytest.raises(DomainError, match=r"^empty ensemble$"):
         ensemble_to_ternary([], CategoryThresholds(0.0, 1.0))
 
 
@@ -209,13 +203,13 @@ def make_ternary_reference(pB, pN, pA):
     vals = [float(pB), float(pN), float(pA)]
     for name, v in zip("BNA", vals):
         if not math.isfinite(v):
-            raise NotNormalised(f"p{name} is not finite: {v}")
+            raise DomainError(f"p{name} is not finite: {v}")
         if v < NEGATIVE_TOLERANCE:
-            raise NegativeProbability(f"p{name} = {v} < 0")
+            raise DomainError(f"p{name} = {v} < 0")
     vals = [max(0.0, v) for v in vals]
     total = vals[0] + vals[1] + vals[2]
     if abs(total - 1.0) > SUM_TOLERANCE:
-        raise NotNormalised(f"probabilities sum to {total}, not 1")
+        raise DomainError(f"probabilities sum to {total}, not 1")
     if abs(total - 1.0) > RESCALE_TOLERANCE:
         vals = [v / total for v in vals]
         k = max(range(3), key=lambda i: vals[i])

@@ -28,7 +28,7 @@ from triscore import (
     skill_radius,
 )
 from triscore import svg as svg_module
-from triscore.errors import DomainError, MissingVerificationHistory
+from triscore.errors import DomainError
 from triscore.scoring import unit_map
 from triscore.simplex import RESCALE_TOLERANCE
 
@@ -190,7 +190,8 @@ class TestForecastMap:
 
     def test_circles_without_history_fail(self):
         ds = Dataset(records=(ForecastRecord(lat=0, lon=0, ternary=UNIFORM),))
-        with pytest.raises(MissingVerificationHistory):
+        with pytest.raises(DomainError, match=r"^skill circles requested but no record carries "
+                                              r"an observation$"):
             render_forecast_map(ds, RenderConfig(show_skill_circles=True))
 
     def test_legend_embedded(self):

@@ -8,6 +8,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SAME_OUTPUTS = ROOT / "tools" / "same_outputs.py"
+MUTANTS = ROOT / "tools" / "mutants.py"
 
 
 @pytest.mark.parametrize("cross_color, code", [(None, 0), ("#00cc00", 1)],
@@ -54,3 +55,31 @@ def test_number_gap(a, b, gap):
     spec.loader.exec_module(tool)
     assert (sys.path, sys.dont_write_bytecode) == before
     assert tool.number_gap(a, b) == gap
+
+
+def test_mutant_is_killed():
+    """One committed mutant, run on a copy of this tree: the tests it lists
+    pass without it and fail with it."""
+    proc = subprocess.run([sys.executable, str(MUTANTS), str(ROOT), "--only", "anchors-unchecked"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    line, total = proc.stdout.splitlines()
+    assert line.startswith("killed    anchors-unchecked (")
+    assert total == "1 killed, 0 survived, 0 stale"
+
+
+def test_stale_mutant_fails(tmp_path):
+    """A snippet no longer in its file is reported, and the run fails."""
+    shutil.copytree(ROOT, tmp_path / "tree", ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".hypothesis", ".pytest_cache", "_work"))
+    colors = tmp_path / "tree" / "src" / "triscore" / "colors.py"
+    colors.write_text(colors.read_text().replace("all(math.isfinite(h2 - h1) for",
+                                                 "all(math.isfinite(h1 - h2) for"))
+    proc = subprocess.run([sys.executable, str(MUTANTS), str(tmp_path / "tree"),
+                           "--only", "anchors-unchecked"], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "stale     anchors-unchecked: the snippet is not found exactly once in "
+        "src/triscore/colors.py",
+        "0 killed, 0 survived, 1 stale"]

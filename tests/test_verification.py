@@ -23,7 +23,7 @@ from triscore import (
     skill_radius,
     snap_to_lattice,
 )
-from triscore.errors import EmptyDataset, InvalidDecomposition
+from triscore.errors import DomainError
 from triscore.simplex import RESCALE_TOLERANCE, SUM_TOLERANCE
 from triscore.verification import _bin_arrays, _binned, _pair_arrays
 
@@ -191,7 +191,7 @@ class TestBinning:
             assert b.center == make_ternary(*(k / 7 for k in b.key))
 
     def test_rejects_empty(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(DomainError, match=r"^no forecast-observation pairs to bin$"):
             bin_forecasts([], 11)
 
     def test_finest_lattice(self, rng):
@@ -200,7 +200,8 @@ class TestBinning:
         pairs = categorical_pairs(rng, 50) + [pair((0.5, 0.5, 0.0), B)] * 2
         assert bin_forecasts(pairs, 2**31).bins == bin_reference(pairs, 2**31)
         for nbins in (0, 2**31 + 1):
-            with pytest.raises(EmptyDataset):
+            message = f"^nbins = {nbins} must be between 1 and {2**31}$"
+            with pytest.raises(DomainError, match=message):
                 bin_forecasts(pairs, nbins)
 
     def test_binning_already_binned_is_identity(self, rng):
@@ -369,13 +370,15 @@ class TestGroupedDecomposition:
         F = np.array([p.forecast.as_tuple() for p in pairs])
         obs = np.array([p.obs.index for p in pairs])
         for nbins in (0, 2**31 + 1):
-            with pytest.raises(EmptyDataset):
+            message = f"^nbins = {nbins} must be between 1 and {2**31}$"
+            with pytest.raises(DomainError, match=message):
                 decompose_by_group(brier, F, obs, group, nbins)
 
     def test_rejects_unused_group_id(self, brier):
         F = np.array([UNIFORM.as_tuple()] * 2)
         for group in ([0, 2], []):
-            with pytest.raises(EmptyDataset):
+            with pytest.raises(DomainError,
+                               match=r"^every group id 0\.\.G-1 needs at least one pair$"):
                 decompose_by_group(brier, F[:len(group)], np.zeros(len(group), dtype=int),
                                    np.array(group, dtype=int))
 
@@ -462,7 +465,7 @@ class TestDecompose:
             assert d.identity_gap() <= 1e-10
 
     def test_rejects_empty(self, brier):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(DomainError, match=r"^no bins to decompose$"):
             decompose(brier, BinnedStats(np.zeros((0, 3), int), np.zeros((0, 3), int), 11))
 
 
@@ -552,5 +555,5 @@ class TestDiagramGeometry:
 
     def test_rejects_u_below_z(self):
         d = Decomposition(S=0.1, U=0.1, Z=0.2, R=0.2, q_bar=UNIFORM)
-        with pytest.raises(InvalidDecomposition):
+        with pytest.raises(DomainError, match=r"^U = 0\.1 < Z = 0\.2$"):
             decomposition_diagram_geometry(d)
